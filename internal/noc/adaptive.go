@@ -31,9 +31,9 @@ package noc
 //     takes the escape lane instead.
 //
 // The state is rebuilt lazily whenever the topology changes (Reset,
-// ResetWithFaults, a scheduled fault striking); on a partitioned
-// topology, pairs with no live route are refused with ErrRouteFaulted
-// and counted under Stats.Blocked.
+// ResetWithFaults, a scheduled fault striking); on a topology the
+// faults have disconnected, pairs with no live route are refused with
+// ErrRouteFaulted and counted under Stats.Blocked.
 
 import (
 	"fmt"

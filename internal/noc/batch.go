@@ -137,12 +137,6 @@ type BatchPoint struct {
 	Faults *FaultMap
 	// Routing selects the route-resolution mode (default oblivious).
 	Routing RoutingMode
-	// Partitions is the point's kernel partition count (0 or 1 =
-	// serial). Like SweepConfig.Partitions it divides the worker budget
-	// and, unlike Parallelism, is part of the simulated machine: a
-	// partitioned kernel returns boundary credits at the cycle barrier,
-	// so results at different counts may differ (deterministically).
-	Partitions int
 }
 
 // Batch runs many simulation points through the shared point fleet.
@@ -198,9 +192,6 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 			return nil, fmt.Errorf("noc: batch point %d windows warmup=%d measure=%d",
 				i, pt.WarmupCycles, pt.MeasureCycles)
 		}
-		if pt.Partitions < 0 {
-			return nil, fmt.Errorf("noc: batch point %d partition count %d", i, pt.Partitions)
-		}
 		batches := pt.Batches
 		if batches <= 0 {
 			batches = 10
@@ -221,7 +212,6 @@ func (b *Batch) Run(ctx context.Context) ([]RatePoint, error) {
 			satThreshold: thresh,
 			faults:       pt.Faults,
 			routing:      pt.Routing,
-			partitions:   pt.Partitions,
 		}
 	}
 	pool := b.Pool
@@ -425,12 +415,6 @@ type SimPoint struct {
 	Seed int64 `json:"seed"`
 	// Routing is "oblivious" (default) or "adaptive".
 	Routing string `json:"routing,omitempty"`
-	// Partitions is the point's kernel partition count (0 or 1 =
-	// serial). It is part of the request — and so of the content
-	// address — because a partitioned kernel is a different simulated
-	// machine, not a runtime knob: results at different counts may
-	// differ (deterministically for each fixed count).
-	Partitions int `json:"partitions,omitempty"`
 	// IncludeStats attaches the point's measurement-window Stats to the
 	// result, size-aware: per-element maps above the compact threshold
 	// aggregate to min/mean/max (see Stats.CompactJSON).
@@ -503,9 +487,6 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 		if err := demand[sp.Arch].AddUnion(pat.Pairs()); err != nil {
 			return nil, fmt.Errorf("noc: sim point %d: %w", i, err)
 		}
-		if sp.Partitions < 0 {
-			return nil, fmt.Errorf("noc: sim point %d partition count %d", i, sp.Partitions)
-		}
 		b.Points[i] = BatchPoint{
 			Arch:          sp.Arch,
 			Pattern:       pat,
@@ -516,7 +497,6 @@ func BuildBatch(req *SimRequest) (*Batch, error) {
 			Batches:       sp.Batches,
 			Seed:          sp.Seed,
 			Routing:       mode,
-			Partitions:    sp.Partitions,
 		}
 	}
 	for i := range b.Archs {

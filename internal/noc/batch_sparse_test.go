@@ -170,57 +170,3 @@ func TestBuildBatchUniformLargeViaLandmarks(t *testing.T) {
 		t.Fatal("uniform landmark batch not deterministic across parallelism")
 	}
 }
-
-// TestBatchPointPartitions: the wire partitions field reaches the
-// kernel — a partitioned point equals its serial twin at a light load
-// with deep buffers (the exact-equivalence regime), a negative count is
-// rejected, and the field participates in the canonical encoding.
-func TestBatchPointPartitions(t *testing.T) {
-	mk := func(parts int) *SimRequest {
-		return &SimRequest{
-			Archs:  []SimArch{{Mesh: "6x6"}},
-			Config: &SimConfig{BufferFlits: 16},
-			Points: []SimPoint{{
-				Arch: 0, Pattern: "transpose", Bits: 64, Rate: 0.02,
-				WarmupCycles: 30, MeasureCycles: 100, Seed: 9,
-				IncludeStats: true, Partitions: parts,
-			}},
-		}
-	}
-	serial, err := RunSim(context.Background(), mk(0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parted, err := RunSim(context.Background(), mk(4), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s1, s2 strings.Builder
-	if err := serial.EncodeJSON(&s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := parted.EncodeJSON(&s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.String() != s2.String() {
-		t.Fatalf("partitioned point diverges from serial at light load:\n%s\nvs\n%s", s1.String(), s2.String())
-	}
-
-	bad := mk(0)
-	bad.Points[0].Partitions = -1
-	if _, err := BuildBatch(bad); err == nil || !strings.Contains(err.Error(), "partition") {
-		t.Fatalf("negative partitions accepted: %v", err)
-	}
-
-	c1, err := mk(0).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := mk(4).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(c1) == string(c2) {
-		t.Fatal("partitions field does not split the canonical encoding")
-	}
-}

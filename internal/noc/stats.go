@@ -3,6 +3,7 @@ package noc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -225,33 +226,10 @@ type statsJSON struct {
 }
 
 // MarshalJSON renders the statistics as JSON (deterministically: Go
-// sorts string map keys).
+// sorts string map keys): CompactJSON with no per-element bound, so
+// every traversal map renders in full.
 func (s Stats) MarshalJSON() ([]byte, error) {
-	out := statsJSON{
-		Injected:      s.Injected,
-		Delivered:     s.Delivered,
-		Dropped:       s.Dropped,
-		Blocked:       s.Blocked,
-		PlanMisses:    s.PlanMisses,
-		DeliveredBits: s.DeliveredBits,
-		LatencySum:    s.LatencySum,
-		LatencyMax:    s.LatencyMax,
-		LatencyMin:    s.MinLatency(),
-		ByTag:         s.ByTag,
-	}
-	if len(s.SwitchTraversals) > 0 {
-		out.SwitchTraversals = make(map[string]int64, len(s.SwitchTraversals))
-		for k, v := range s.SwitchTraversals {
-			out.SwitchTraversals[fmt.Sprintf("%d", k)] = v
-		}
-	}
-	if len(s.LinkTraversals) > 0 {
-		out.LinkTraversals = make(map[string]int64, len(s.LinkTraversals))
-		for k, v := range s.LinkTraversals {
-			out.LinkTraversals[fmt.Sprintf("%d->%d", k[0], k[1])] = v
-		}
-	}
-	return json.Marshal(out)
+	return s.CompactJSON(math.MaxInt)
 }
 
 // CompactLinkThreshold is the default per-element map size above which
@@ -291,7 +269,7 @@ func compactDist(n int, vals func(func(int64))) *CompactDist {
 	return d
 }
 
-// CompactJSON renders the statistics like MarshalJSON, except that any
+// CompactJSON renders the statistics as JSON, except that any
 // per-element traversal map with more than maxPerElement entries is
 // replaced by its CompactDist aggregate ("switchTraversalsCompact" /
 // "linkTraversalsCompact"). maxPerElement <= 0 applies

@@ -39,10 +39,7 @@ type SimulateRequest struct {
 // disjoint from synthesis keys. Parallelism and timeout are not part of
 // the request — the batch answer is byte-identical at every worker
 // count, and truncated runs are never cached — so they cannot split the
-// address. A point's kernel partition count IS part of the request (and
-// so of the address): unlike parallelism it selects a different
-// simulated machine — boundary credits return at the cycle barrier —
-// so its results may differ and must not collide.
+// address.
 func SimulateKey(req *noc.SimRequest) (string, error) {
 	enc, err := req.Canonical()
 	if err != nil {

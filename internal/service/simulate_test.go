@@ -139,6 +139,21 @@ func TestHTTPSimulateAsync(t *testing.T) {
 	}
 }
 
+// TestSimulateKeyPinned pins the content address of one fixed request,
+// so a change to the canonical wire form that would re-address (and so
+// orphan) cached simulate results fails here first.
+func TestSimulateKeyPinned(t *testing.T) {
+	_, req := simBody(t)
+	key, err := SimulateKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "778f033bd623519e158e2647b03f85bed07467c988470f800784a280e863d326"
+	if key != want {
+		t.Fatalf("SimulateKey = %s, want %s", key, want)
+	}
+}
+
 // TestHTTPSimulateBadRequest maps malformed bodies to 400, not 500.
 func TestHTTPSimulateBadRequest(t *testing.T) {
 	s := newStubService(t, Config{Workers: 1})
@@ -156,6 +171,9 @@ func TestHTTPSimulateBadRequest(t *testing.T) {
 		"not json":      {"{", http.StatusBadRequest},
 		"unknown field": {`{"archs":[],"points":[],"bogus":1}`, http.StatusBadRequest},
 		"no points":     {`{"archs":[{"mesh":"4x4"}],"points":[]}`, http.StatusBadRequest},
+		// A kernel partition count from an old client is refused, not ignored.
+		"partitions field": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"uniform","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1,"partitions":4}]}`,
+			http.StatusBadRequest},
 		"bad pattern": {`{"archs":[{"mesh":"4x4"}],"points":[{"arch":0,"pattern":"zigzag","bits":128,"rate":0.1,"warmupCycles":10,"measureCycles":50,"seed":1}]}`,
 			http.StatusInternalServerError},
 	} {

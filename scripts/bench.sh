@@ -27,12 +27,11 @@ raw=$(go test -run '^$' \
     -benchmem -benchtime "$benchtime" -count "$count" .)
 
 # Simulator-kernel trajectory (PR 5 + the PR 7 SoA/batch engine + the
-# PR 9 sparse compile + the PR 10 partitioned kernel): idle-cycle cost
-# at 16 and 1000 routers, the allocation-free compiled-route injection
-# path, a warm Reset rate point, a pooled 1k-router batch sweep point,
-# the 10k-router demand-driven routing compile, and busy 1k/10k-router
-# uniform windows (landmark routes at 10k) at kernel partition counts
-# 1/2/4/8.
+# PR 9 sparse compile): idle-cycle cost at 16 and 1000 routers, the
+# allocation-free compiled-route injection path, a warm Reset rate
+# point, a pooled 1k-router batch sweep point, the 10k-router
+# demand-driven routing compile, and busy 1k/10k-router uniform windows
+# (landmark routes at 10k).
 # These run at a fixed longer benchtime — the per-op cost of the short
 # ones is nanoseconds, so 5 iterations would measure noise.
 raw_kernel=$(go test -run '^$' \
