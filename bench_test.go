@@ -109,6 +109,7 @@ func BenchmarkFig5_Planted(b *testing.B) {
 func BenchmarkFig6_AESDecomposition(b *testing.B) {
 	acg := AESACG(0.1)
 	opts := core.Options{Mode: core.CostLinks, Timeout: 60 * time.Second}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		solveOnce(b, acg, opts)
@@ -758,6 +759,7 @@ func BenchmarkSolverParallelism(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opts := core.Options{Mode: core.CostLinks, Timeout: 30 * time.Second, Parallelism: par}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, acg := range acgs {
 					solveOnce(b, acg, opts)

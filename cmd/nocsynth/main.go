@@ -20,10 +20,12 @@
 //	nocsynth -acg app.json [-mode links|energy] [-tech 180nm|130nm|100nm]
 //	         [-grid n,w,h,gap] [-linkbw Mbps] [-bisection Mbps]
 //	         [-timeout 30s] [-parallel N] [-dot] [-routes]
+//	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The search runs on -parallel branch-and-bound workers (0 = all CPUs) and
 // can be interrupted with Ctrl-C, which prints the best decomposition
-// found so far.
+// found so far. -cpuprofile and -memprofile write pprof CPU and heap
+// profiles of the run, so the solver can be profiled without a rebuild.
 //
 // With -frontier the single solve is replaced by an ε-constraint sweep
 // that enumerates the cost-vs-latency Pareto frontier (-points grid
@@ -42,6 +44,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -68,11 +72,35 @@ func main() {
 	verilog := flag.Bool("verilog", false, "print a structural Verilog netlist of the architecture")
 	frontierSweep := flag.Bool("frontier", false, "enumerate the cost-vs-latency Pareto frontier as NDJSON instead of a single solve")
 	points := flag.Int("points", frontier.DefaultPoints, "ε-grid size for -frontier, unconstrained anchor included")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
 
 	if *acgPath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	// Profiling wraps every mode; the deferred writers run on all normal
+	// exits (check's os.Exit error path skips them, by design).
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		check(err)
+		check(pprof.StartCPUProfile(f))
+		defer func() {
+			pprof.StopCPUProfile()
+			check(f.Close())
+		}()
+	}
+	if *memProfile != "" {
+		path := *memProfile
+		defer func() {
+			f, err := os.Create(path)
+			check(err)
+			runtime.GC()
+			check(pprof.WriteHeapProfile(f))
+			check(f.Close())
+		}()
 	}
 	data, err := os.ReadFile(*acgPath)
 	check(err)

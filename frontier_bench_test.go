@@ -19,6 +19,7 @@ import (
 // frontier subsystem — the number bench_check.sh guards.
 func BenchmarkFrontierAES(b *testing.B) {
 	acg := repro.AESACG(0.1)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := frontier.Enumerate(context.Background(), acg, frontier.Options{
 			Points: 4,

@@ -223,7 +223,7 @@ type Options struct {
 	// Parallelism sets how many concurrent DFS workers explore the
 	// decomposition tree. The top-level candidate branches are partitioned
 	// across workers that share one atomic incumbent bound; results are
-	// identical at every worker count (ties broken by candRank order).
+	// identical at every worker count (ties broken by rank order).
 	// Zero means GOMAXPROCS; 1 forces the serial search.
 	Parallelism int
 	// DisableIsoCache turns off the memoized VF2 match cache (ablation).
@@ -231,7 +231,7 @@ type Options struct {
 	// from scratch.
 	DisableIsoCache bool
 	// IsoCacheEntries caps the match cache size. Zero means
-	// iso.DefaultCacheEntries.
+	// DefaultCacheEntries.
 	IsoCacheEntries int
 	// IsoCacheMinCost sets how expensive an enumeration must have been for
 	// its result to be retained in the match cache. The search tree is

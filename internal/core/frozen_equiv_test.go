@@ -112,19 +112,26 @@ func TestGraphSigFrozenParity(t *testing.T) {
 	if graphSigOf(acg) != graphSigOfFrozen(facg) {
 		t.Fatal("root signatures differ between representations")
 	}
+	// The per-edge-id table must hold each edge's NodeID-pair term.
+	table := edgeSigTable(facg)
+	for e := range table {
+		ed := facg.EdgeAt(e)
+		if table[e] != edgeSig(ed.From, ed.To) {
+			t.Fatalf("edge %d: table term differs from edgeSig(%d, %d)", e, ed.From, ed.To)
+		}
+	}
 	// Remove a random edge subset; the incremental XOR path must land on
 	// the signature of the materialized remaining graph.
 	rng := rand.New(rand.NewSource(23))
 	mask := graph.FullEdgeMask(facg.EdgeCount())
-	var covered [][2]graph.NodeID
+	var covered []int32
 	for e := 0; e < facg.EdgeCount(); e++ {
 		if rng.Float64() < 0.4 {
 			mask.Clear(e)
-			ed := facg.EdgeAt(e)
-			covered = append(covered, [2]graph.NodeID{ed.From, ed.To})
+			covered = append(covered, int32(e))
 		}
 	}
-	inc := graphSigOfFrozen(facg).without(covered)
+	inc := graphSigOfFrozen(facg).without(covered, table)
 	if inc != graphSigOf(facg.Materialize(mask)) {
 		t.Fatal("incremental signature diverges from materialized graph")
 	}

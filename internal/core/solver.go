@@ -1,16 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/floorplan"
 	"repro/internal/graph"
 	"repro/internal/iso"
 	"repro/internal/primitives"
@@ -46,7 +49,7 @@ func Solve(p Problem) (Result, error) {
 // map form at improving leaves. The incumbent bound is shared atomically so
 // a bound found in one subtree prunes all others. The returned
 // decomposition is identical at every worker count: the incumbent orders
-// complete decompositions by (cost, candRank sequence), a total order
+// complete decompositions by (cost, rank sequence), a total order
 // independent of discovery timing. (When a timeout or cancellation
 // interrupts the search, the partial result may of course depend on how far
 // each worker got.)
@@ -63,41 +66,9 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 		}
 	}
 
-	sh := &shared{p: &p, ctx: ctx, start: time.Now()}
-	sh.facg = p.ACG.Freeze()
-	sh.fullMask = graph.FullEdgeMask(sh.facg.EdgeCount())
-	sh.minEdge, sh.remEdge = edgeCostConstants(&p, sh.facg)
-	sh.latWeight, sh.totalWeight = latencyWeights(sh.facg)
-	sh.pats = make([]*graph.Frozen, len(p.Library.Primitives()))
-	for i, prim := range p.Library.Primitives() {
-		sh.pats[i] = prim.Rep.Freeze()
-	}
-	if p.Options.Timeout > 0 {
-		sh.deadline = sh.start.Add(p.Options.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (sh.deadline.IsZero() || d.Before(sh.deadline)) {
-		sh.deadline = d
-	}
-	sh.matchLimit = p.Options.MatchLimit
-	if sh.matchLimit == 0 {
-		sh.matchLimit = DefaultMatchLimit
-	}
-	sh.isoLimit = p.Options.IsoLimit
-	if sh.isoLimit == 0 {
-		sh.isoLimit = DefaultIsoLimit
-	}
-	if !p.Options.DisableIsoCache {
-		if p.Options.MatchCache != nil {
-			sh.cache = p.Options.MatchCache.inner
-		} else {
-			sh.cache = newMatchCache(p.Options.IsoCacheEntries)
-		}
-		sh.cacheMinCost = p.Options.IsoCacheMinCost
-		if sh.cacheMinCost == 0 {
-			sh.cacheMinCost = DefaultIsoCacheMinCost
-		} else if sh.cacheMinCost < 0 {
-			sh.cacheMinCost = 0
-		}
+	sh, err := newShared(ctx, &p)
+	if err != nil {
+		return Result{}, err
 	}
 	// A shared cache carries counters from earlier solves; snapshot them
 	// so Stats reports this solve's hits and misses, not the sweep's.
@@ -160,6 +131,55 @@ func SolveContext(ctx context.Context, p Problem) (Result, error) {
 	return Result{Best: sh.inc.take(), Stats: stats}, nil
 }
 
+// newShared prepares the per-solve state: the frozen ACG, the per-edge
+// constants, the compiled primitive plans, the deadline, the effective
+// limits and the match cache.
+func newShared(ctx context.Context, p *Problem) (*shared, error) {
+	sh := &shared{p: p, ctx: ctx, start: time.Now()}
+	sh.facg = p.ACG.Freeze()
+	sh.fullMask = graph.FullEdgeMask(sh.facg.EdgeCount())
+	sh.minEdge, sh.remEdge = edgeCostConstants(p, sh.facg)
+	sh.latWeight, sh.totalWeight = latencyWeights(sh.facg)
+	sh.edgeSigs = edgeSigTable(sh.facg)
+	sh.centers, sh.placed = vertexCenters(p, sh.facg)
+	sh.plans = make([]primPlan, len(p.Library.Primitives()))
+	for i, prim := range p.Library.Primitives() {
+		plan, err := compilePlan(prim)
+		if err != nil {
+			return nil, err
+		}
+		sh.plans[i] = plan
+	}
+	if p.Options.Timeout > 0 {
+		sh.deadline = sh.start.Add(p.Options.Timeout)
+	}
+	if d, ok := ctx.Deadline(); ok && (sh.deadline.IsZero() || d.Before(sh.deadline)) {
+		sh.deadline = d
+	}
+	sh.matchLimit = p.Options.MatchLimit
+	if sh.matchLimit == 0 {
+		sh.matchLimit = DefaultMatchLimit
+	}
+	sh.isoLimit = p.Options.IsoLimit
+	if sh.isoLimit == 0 {
+		sh.isoLimit = DefaultIsoLimit
+	}
+	if !p.Options.DisableIsoCache {
+		if p.Options.MatchCache != nil {
+			sh.cache = p.Options.MatchCache.inner
+		} else {
+			sh.cache = newMatchCache(p.Options.IsoCacheEntries)
+		}
+		sh.cacheMinCost = p.Options.IsoCacheMinCost
+		if sh.cacheMinCost == 0 {
+			sh.cacheMinCost = DefaultIsoCacheMinCost
+		} else if sh.cacheMinCost < 0 {
+			sh.cacheMinCost = 0
+		}
+	}
+	return sh, nil
+}
+
 // shared is the state all DFS workers of one solve see: the read-only
 // problem, its frozen CSR form, the deadline/cancellation signals, the
 // memoized match cache and the incumbent best decomposition.
@@ -169,11 +189,17 @@ type shared struct {
 
 	// facg is the ACG frozen once per solve; every remaining graph of the
 	// search is facg plus a live-edge bitmask. fullMask has every edge set;
-	// pats are the library representation graphs frozen once, indexed like
-	// Library.Primitives().
+	// edgeSigs[e] is edge e's signature term (see graphSig). plans are the
+	// library primitives compiled once, indexed like Library.Primitives().
 	facg     *graph.Frozen
 	fullMask graph.EdgeMask
-	pats     []*graph.Frozen
+	edgeSigs []graphSig
+	plans    []primPlan
+
+	// centers[i]/placed[i] are ACG vertex i's core center and whether the
+	// placement has it; nil in link mode or without a placement.
+	centers []floorplan.Point
+	placed  []bool
 
 	// minEdge/remEdge are the energy-mode per-edge cost constants, shared
 	// read-only by every worker's coster (nil in link mode).
@@ -208,9 +234,11 @@ func (sh *shared) newWorker() *worker {
 // from the shared counter. Its statistics are local (merged after the
 // search) so the hot path stays free of shared writes.
 type worker struct {
-	sh     *shared
-	coster coster
-	stats  Stats
+	sh      *shared
+	coster  coster
+	stats   Stats
+	matcher iso.Matcher
+	scratch matchScratch
 }
 
 // stopped reports whether the search should halt, latching the shared stop
@@ -239,7 +267,6 @@ func (w *worker) stopped() bool {
 // branch is one top-level work unit: a candidate expansion of the root.
 type branch struct {
 	cand candidate
-	rank string
 	sig  graphSig // signature of the ACG minus the branch's covered edges
 }
 
@@ -251,12 +278,12 @@ func (w *worker) collectRootBranches() []branch {
 	nodes := sh.facg.NodeCount()
 	rootSig := graphSigOfFrozen(sh.facg)
 	var out []branch
-	for primIdx, prim := range sh.p.Library.Primitives() {
-		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
+	for primIdx := range sh.plans {
+		if !sh.plans[primIdx].fits(live, nodes) {
 			continue
 		}
-		for _, cand := range w.enumerate(primIdx, prim, sh.fullMask, rootSig) {
-			out = append(out, branch{cand: cand, rank: candRank(primIdx, cand.covered), sig: rootSig.without(cand.covered)})
+		for _, cand := range w.enumerate(primIdx, sh.fullMask, rootSig) {
+			out = append(out, branch{cand: cand, sig: rootSig.without(cand.coveredIDs, sh.edgeSigs)})
 		}
 	}
 	return out
@@ -278,13 +305,13 @@ func (w *worker) run(branches []branch) {
 		m := b.cand.match
 		m.Depth = 0
 		mask := w.sh.fullMask.Without(b.cand.coveredIDs)
-		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.cand.coveredIDs), b.sig, []Match{m}, []string{b.rank}, m.Cost, b.cand.wHops, w.sh.totalWeight-b.cand.weight)
+		w.dfs(mask, w.sh.facg.EdgeCount()-len(b.cand.coveredIDs), b.sig, []Match{m}, []string{b.cand.rank}, m.Cost, b.cand.wHops, w.sh.totalWeight-b.cand.weight)
 	}
 }
 
 // dfs explores one decomposition-tree node: mask selects the live edges of
 // the graph still to cover (live is their count), matches the path from the
-// root, ranks the candRank of each match, cost the accumulated match cost.
+// root, ranks the rankOf of each match, cost the accumulated match cost.
 // wHops carries the weighted hop count of the matches taken so far and
 // liveWeight the latency weight still live in mask; together they give the
 // admissible latency lower bound of every leaf below this node.
@@ -292,7 +319,7 @@ func (w *worker) run(branches []branch) {
 // Because matches in one decomposition are pairwise edge-disjoint, a
 // decomposition is a *set* of matches: every permutation of the same set
 // reaches the same leaf. The search therefore expands matches in canonical
-// rank order (library index, then covered-edge key) — only candidates
+// rank order (library index, then covered edge ids) — only candidates
 // ranking above the last expanded match branch, which eliminates the
 // factorial permutation blow-up without excluding any decomposition.
 func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Match, ranks []string, cost float64, wHops, liveWeight float64) {
@@ -335,8 +362,8 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Matc
 	minRank := ranks[len(ranks)-1]
 	minPrim := int(minRank[0])<<8 | int(minRank[1])
 	expanded := false
-	for primIdx, prim := range w.sh.p.Library.Primitives() {
-		if live < prim.Rep.EdgeCount() || nodes < prim.Size {
+	for primIdx := range w.sh.plans {
+		if !w.sh.plans[primIdx].fits(live, nodes) {
 			continue
 		}
 		if primIdx < minPrim {
@@ -345,20 +372,19 @@ func (w *worker) dfs(mask graph.EdgeMask, live int, sig graphSig, matches []Matc
 			// expands it earlier covers that part of the space.
 			continue
 		}
-		cands := w.enumerate(primIdx, prim, mask, sig)
+		cands := w.enumerate(primIdx, mask, sig)
 		for _, cand := range cands {
 			if w.stopped() {
 				return
 			}
-			rank := candRank(primIdx, cand.covered)
-			if rank <= minRank {
+			if cand.rank <= minRank {
 				continue
 			}
 			expanded = true
 			w.stats.MatchingsTried++
 			cand.match.Depth = len(matches)
 			next := mask.Without(cand.coveredIDs)
-			w.dfs(next, live-len(cand.coveredIDs), sig.without(cand.covered), append(matches, cand.match), append(ranks, rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
+			w.dfs(next, live-len(cand.coveredIDs), sig.without(cand.coveredIDs, w.sh.edgeSigs), append(matches, cand.match), append(ranks, cand.rank), cost+cand.match.Cost, wHops+cand.wHops, liveWeight-cand.weight)
 		}
 	}
 
@@ -416,7 +442,7 @@ func (w *worker) leaf(mask graph.EdgeMask, matches []Match, ranks []string, cost
 // exact equal-cost comparisons.
 //
 // Decompositions are ordered by (cost, rank sequence): lower cost wins,
-// and among equal costs the lexicographically smaller candRank sequence
+// and among equal costs the lexicographically smaller rank sequence
 // wins (seqLess). This is a strict total order over distinct
 // decompositions — disjoint matches always differ in cover key, so two
 // distinct decompositions differ in their rank sequences — which is what
@@ -518,17 +544,17 @@ func seqLess(a, b []string) bool {
 	return len(a) < len(b)
 }
 
-// candidate pairs a costed match with the ACG edges it covers, both as
-// (From, To) NodeID pairs (for the canonical rank key) and as frozen edge
-// ids (for the bitmask update). wHops/weight are its latency-objective
-// contributions — the weighted hop count of its mapped routes and the
-// latency weight of its covered edges — precomputed here because they
-// depend only on the match, never on the live mask, so cached candidate
-// lists stay valid across tree nodes and across sweep solves.
+// candidate pairs a costed match with the ACG edges it covers, as
+// ascending frozen edge ids, and its canonical expansion rank (rankOf).
+// wHops/weight are its latency-objective contributions — the weighted hop
+// count of its mapped routes and the latency weight of its covered edges.
+// All of it is computed once, when the candidate survives the match cap,
+// because it depends only on the match, never on the live mask, so cached
+// candidate lists stay valid across tree nodes and across sweep solves.
 type candidate struct {
 	match      Match
-	covered    [][2]graph.NodeID
 	coveredIDs []int32
+	rank       string
 	wHops      float64
 	weight     float64
 }
@@ -561,14 +587,21 @@ func latencyWeights(facg *graph.Frozen) ([]float64, float64) {
 // lead to identical subtrees, so only the cheaper embedding can belong to
 // the optimum), ranked by cost, and capped at the match limit.
 //
+// The matching step works on dense arrays only: VF2 writes each mapping
+// as a pattern-to-ACG index vector into the worker's Matcher buffer,
+// scoreMappings derives its covered edge ids and cost from the
+// primitive's plan, and selectCovers dedups and ranks them. Only the
+// candidates that survive the cap get an iso.Mapping, an id slice and a
+// rank string.
+//
 // The whole result is memoized in the shared match cache, keyed by
 // primitive index plus the incremental signature of the remaining graph:
 // distinct match orders reconverge on the same remaining graph, and a hit
-// skips not just the VF2 enumeration but the covered-edge extraction,
-// Equation 5 costing and dedup of up to IsoLimit raw mappings. Caching the
-// finished candidate list (at most MatchLimit entries) rather than the raw
-// mapping set keeps the retained memory per entry tiny.
-func (w *worker) enumerate(primIdx int, prim *primitives.Primitive, mask graph.EdgeMask, sig graphSig) []candidate {
+// skips not just the VF2 enumeration but the scoring and dedup of up to
+// IsoLimit raw mappings. Caching the finished candidate list (at most
+// MatchLimit entries) rather than the raw mapping set keeps the retained
+// memory per entry tiny.
+func (w *worker) enumerate(primIdx int, mask graph.EdgeMask, sig graphSig) []candidate {
 	cacheKey := matchKey{prim: primIdx, sig: sig}
 	var missStart time.Time
 	if w.sh.cache != nil {
@@ -587,52 +620,38 @@ func (w *worker) enumerate(primIdx int, prim *primitives.Primitive, mask graph.E
 	if !w.sh.deadline.IsZero() && (opts.Deadline.IsZero() || w.sh.deadline.Before(opts.Deadline)) {
 		opts.Deadline = w.sh.deadline
 	}
-	mappings, err := iso.FindAllFrozen(w.sh.pats[primIdx], w.sh.facg, mask, opts)
-	if err != nil && len(mappings) == 0 {
+	plan := &w.sh.plans[primIdx]
+	flat, err := w.matcher.FindAll(plan.pat, w.sh.facg, mask, opts)
+	if err != nil && len(flat) == 0 {
 		return nil
 	}
 
-	bestByCover := make(map[string]candidate)
-	var order []string
-	for _, mp := range mappings {
-		m := Match{Primitive: prim, Mapping: mp}
-		covered := m.CoveredEdges()
-		m.Cost = w.coster.matchCost(m)
-		key := coverKey(covered)
-		old, ok := bestByCover[key]
-		if !ok {
-			order = append(order, key)
-			bestByCover[key] = candidate{match: m, covered: covered}
-		} else if m.Cost < old.match.Cost {
-			bestByCover[key] = candidate{match: m, covered: covered}
+	pn, ne := plan.pat.NodeCount(), len(plan.edges)
+	sc := &w.scratch
+	w.scoreMappings(plan, flat)
+	groups := sc.selectCovers(len(flat)/pn, ne, w.sh.matchLimit)
+	cands := make([]candidate, len(groups))
+	patIDs, acgIDs := plan.pat.IDs(), w.sh.facg.IDs()
+	for i, g := range groups {
+		r := int(g.best)
+		mp := make(iso.Mapping, pn)
+		for pi, ti := range flat[r*pn : (r+1)*pn] {
+			mp[patIDs[pi]] = acgIDs[ti]
 		}
-	}
-	cands := make([]candidate, 0, len(order))
-	for _, key := range order {
-		cands = append(cands, bestByCover[key])
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].match.Cost < cands[j].match.Cost
-	})
-	if w.sh.matchLimit > 0 && len(cands) > w.sh.matchLimit {
-		cands = cands[:w.sh.matchLimit]
-	}
-	// Translate cover keys to frozen edge ids and price the latency
-	// contributions only for the candidates that survived the cap.
-	for i := range cands {
-		ids := w.coveredEdgeIDs(cands[i].covered)
-		cands[i].coveredIDs = ids
+		ids := append([]int32(nil), sc.cover(r, ne)...)
 		var wh, wt float64
-		for j, k := range cands[i].covered {
-			hops := 1.0
-			if route, ok := cands[i].match.MappedRoute(k[0], k[1]); ok && len(route) > 1 {
-				hops = float64(len(route) - 1)
-			}
-			lw := w.sh.latWeight[ids[j]]
+		for j, e := range ids {
+			lw := w.sh.latWeight[e]
 			wt += lw
-			wh += lw * hops
+			wh += lw * plan.hops[sc.coverEdge[r*ne+j]]
 		}
-		cands[i].wHops, cands[i].weight = wh, wt
+		cands[i] = candidate{
+			match:      Match{Primitive: plan.prim, Mapping: mp, Cost: sc.costs[r]},
+			coveredIDs: ids,
+			rank:       rankOf(primIdx, ids),
+			wHops:      wh,
+			weight:     wt,
+		}
 	}
 	if w.sh.cache != nil && err == nil && time.Since(missStart) >= w.sh.cacheMinCost {
 		// Retain only results that were genuinely expensive to compute:
@@ -647,21 +666,213 @@ func (w *worker) enumerate(primIdx int, prim *primitives.Primitive, mask graph.E
 	return cands
 }
 
-// coveredEdgeIDs translates covered (From, To) NodeID pairs into frozen
-// edge ids of the root ACG.
-func (w *worker) coveredEdgeIDs(covered [][2]graph.NodeID) []int32 {
-	ids := make([]int32, len(covered))
-	for i, k := range covered {
-		u, _ := w.sh.facg.IndexOf(k[0])
-		v, _ := w.sh.facg.IndexOf(k[1])
-		e, ok := w.sh.facg.EdgeIndexBetween(u, v)
-		if !ok {
-			// A match can only cover edges of the graph it was found in.
-			panic(fmt.Sprintf("decompose: covered edge %d->%d not in ACG", k[0], k[1]))
-		}
-		ids[i] = int32(e)
+// primPlan is one library primitive compiled once per solve into the
+// dense form the matching step reads: its frozen representation graph,
+// each representation edge as a pair of pattern dense indices (in the
+// pattern's edge-id order, which is Rep.Edges() order), each edge's route
+// as pattern dense indices (nil when the primitive has no route for it)
+// and its hop count (1 without a route, as MappedRoute callers assume).
+type primPlan struct {
+	prim   *primitives.Primitive
+	pat    *graph.Frozen
+	edges  [][2]int32
+	routes [][]int32
+	hops   []float64
+	links  float64 // link-mode match cost: the implementation link count
+}
+
+// compilePlan builds a primitive's plan. It fails when a route passes
+// through a vertex the representation graph lacks, which Validate does not
+// rule out (it checks routes against the implementation graph).
+func compilePlan(prim *primitives.Primitive) (primPlan, error) {
+	pat := prim.Rep.Freeze()
+	ids := pat.IDs()
+	ne := pat.EdgeCount()
+	pl := primPlan{
+		prim:   prim,
+		pat:    pat,
+		edges:  make([][2]int32, ne),
+		routes: make([][]int32, ne),
+		hops:   make([]float64, ne),
+		links:  float64(prim.ImplLinkCount()),
 	}
-	return ids
+	for e := 0; e < ne; e++ {
+		from, to := pat.EdgeEndpoints(e)
+		pl.edges[e] = [2]int32{from, to}
+		pl.hops[e] = 1
+		route, ok := prim.Routes[[2]graph.NodeID{ids[from], ids[to]}]
+		if !ok {
+			continue
+		}
+		pl.routes[e] = make([]int32, len(route))
+		for i, v := range route {
+			vi, ok := pat.IndexOf(v)
+			if !ok {
+				return primPlan{}, fmt.Errorf("decompose: %s route %v leaves the representation graph", prim.Name, route)
+			}
+			pl.routes[e][i] = int32(vi)
+		}
+		if len(route) > 1 {
+			pl.hops[e] = float64(len(route) - 1)
+		}
+	}
+	return pl, nil
+}
+
+// fits reports whether the primitive can still match a remaining graph of
+// live edges over nodes vertices.
+func (pl *primPlan) fits(live, nodes int) bool {
+	return live >= len(pl.edges) && nodes >= pl.pat.NodeCount()
+}
+
+// vertexCenters returns, per frozen ACG vertex, its core center and
+// whether the placement has it: the dense form of linkLength's placement
+// lookups. Both are nil outside energy mode or without a placement.
+func vertexCenters(p *Problem, facg *graph.Frozen) ([]floorplan.Point, []bool) {
+	if p.Options.Mode != CostEnergy || p.Placement == nil {
+		return nil, nil
+	}
+	centers := make([]floorplan.Point, facg.NodeCount())
+	placed := make([]bool, facg.NodeCount())
+	for i, id := range facg.IDs() {
+		if p.Placement.Has(id) {
+			centers[i], placed[i] = p.Placement.Center(id), true
+		}
+	}
+	return centers, placed
+}
+
+// linkLength is coster.linkLength over ACG dense indices.
+func (sh *shared) linkLength(a, b int32) float64 {
+	if sh.centers == nil || !sh.placed[a] || !sh.placed[b] {
+		return 1
+	}
+	ca, cb := sh.centers[a], sh.centers[b]
+	return math.Abs(ca.X-cb.X) + math.Abs(ca.Y-cb.Y)
+}
+
+// matchScratch is a worker's reusable working memory for scoring and
+// selecting the raw mappings of one enumerate call.
+type matchScratch struct {
+	// covers holds len(plan.edges) ascending covered edge ids per mapping;
+	// coverEdge[i] is the plan edge index behind covers[i].
+	covers    []int32
+	coverEdge []int32
+	costs     []float64 // per mapping
+	hashes    []uint64  // per mapping: XOR of its covered edges' signature terms
+	lengths   []float64 // route link lengths of one edge
+	slots     []int32   // open-addressing table of groups indices, -1 empty
+	groups    []coverGroup
+}
+
+// coverGroup is one distinct covered edge set: its hash and the first of
+// its cheapest mappings.
+type coverGroup struct {
+	hash uint64
+	best int32
+}
+
+func (sc *matchScratch) cover(r, ne int) []int32 { return sc.covers[r*ne : (r+1)*ne] }
+
+// scoreMappings fills the worker's scratch with each mapping's covered
+// edge ids, insertion-sorted, and its cost: the implementation link count
+// in link mode, Equation 5 in energy mode. It is the dense form of
+// Match.CoveredEdges and coster.matchCost and sums in the same order, so
+// the costs are bit-identical to theirs.
+func (w *worker) scoreMappings(plan *primPlan, flat []int32) {
+	sh, sc := w.sh, &w.scratch
+	pn, ne := plan.pat.NodeCount(), len(plan.edges)
+	n := len(flat) / pn
+	sc.covers = resize(sc.covers, n*ne)
+	sc.coverEdge = resize(sc.coverEdge, n*ne)
+	sc.costs = resize(sc.costs, n)
+	sc.hashes = resize(sc.hashes, n)
+	energyMode := sh.p.Options.Mode == CostEnergy
+	for r := 0; r < n; r++ {
+		core1 := flat[r*pn : (r+1)*pn]
+		ids, edge := sc.cover(r, ne), sc.coverEdge[r*ne:(r+1)*ne]
+		cost := plan.links
+		if energyMode {
+			cost = 0
+		}
+		var hash uint64
+		for k, pe := range plan.edges {
+			e, ok := sh.facg.EdgeIndexBetween(int(core1[pe[0]]), int(core1[pe[1]]))
+			if !ok {
+				// A match can only cover edges of the graph it was found in.
+				panic(fmt.Sprintf("decompose: covered edge %d->%d not in ACG",
+					sh.facg.IDOf(int(core1[pe[0]])), sh.facg.IDOf(int(core1[pe[1]]))))
+			}
+			if route := plan.routes[k]; energyMode && route != nil {
+				lengths := sc.lengths[:0]
+				for i := 0; i+1 < len(route); i++ {
+					lengths = append(lengths, sh.linkLength(core1[route[i]], core1[route[i+1]]))
+				}
+				sc.lengths = lengths
+				cost += sh.p.Energy.TransferEnergy(sh.facg.Volume(e), lengths)
+			}
+			hash ^= sh.edgeSigs[e].a
+			j := k
+			for ; j > 0 && ids[j-1] > int32(e); j-- {
+				ids[j], edge[j] = ids[j-1], edge[j-1]
+			}
+			ids[j], edge[j] = int32(e), int32(k)
+		}
+		sc.costs[r], sc.hashes[r] = cost, hash
+	}
+}
+
+// selectCovers dedups n scored mappings by covered edge set and returns
+// one group per set, ordered by cost and capped at limit (<= 0 means no
+// cap). Each set keeps its first cheapest mapping, and equal-cost sets
+// keep the order of their first mappings — exactly a stable cost sort
+// over first-occurrence order. Sets are found through an open-addressing
+// table keyed by the cover hash and confirmed by comparing the sorted
+// ids, so a hash collision never merges two sets. The slice is scratch,
+// valid until the next call.
+func (sc *matchScratch) selectCovers(n, ne, limit int) []coverGroup {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	sc.slots = resize(sc.slots, size)
+	for i := range sc.slots {
+		sc.slots[i] = -1
+	}
+	sc.groups = sc.groups[:0]
+	for r := 0; r < n; r++ {
+		h, key := sc.hashes[r], sc.cover(r, ne)
+		i := int(h & uint64(size-1))
+		for ; sc.slots[i] >= 0; i = (i + 1) & (size - 1) {
+			g := &sc.groups[sc.slots[i]]
+			if g.hash == h && slices.Equal(sc.cover(int(g.best), ne), key) {
+				if sc.costs[r] < sc.costs[g.best] {
+					g.best = int32(r)
+				}
+				break
+			}
+		}
+		if sc.slots[i] < 0 {
+			sc.slots[i] = int32(len(sc.groups))
+			sc.groups = append(sc.groups, coverGroup{hash: h, best: int32(r)})
+		}
+	}
+	slices.SortStableFunc(sc.groups, func(a, b coverGroup) int {
+		return cmp.Compare(sc.costs[a.best], sc.costs[b.best])
+	})
+	if limit > 0 && len(sc.groups) > limit {
+		return sc.groups[:limit]
+	}
+	return sc.groups
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // graphSig is a 128-bit Zobrist-style signature of a graph's directed edge
@@ -674,15 +885,27 @@ func (w *worker) coveredEdgeIDs(covered [][2]graph.NodeID) []int32 {
 // unlikely even across millions of distinct tree nodes.
 type graphSig struct{ a, b uint64 }
 
-// without returns the signature with the given edges removed (or,
-// symmetrically, added — XOR toggles).
-func (s graphSig) without(edges [][2]graph.NodeID) graphSig {
-	for _, e := range edges {
-		h := edgeSig(e[0], e[1])
-		s.a ^= h.a
-		s.b ^= h.b
+// without returns the signature with the given edge ids removed (or,
+// symmetrically, added — XOR toggles); table is the graph's edgeSigTable.
+func (s graphSig) without(ids []int32, table []graphSig) graphSig {
+	for _, e := range ids {
+		s.a ^= table[e].a
+		s.b ^= table[e].b
 	}
 	return s
+}
+
+// edgeSigTable returns each frozen edge's signature term, indexed by edge
+// id: edgeSig of its (From, To) NodeIDs, so signatures built from the
+// table equal graphSigOf's.
+func edgeSigTable(f *graph.Frozen) []graphSig {
+	ids := f.IDs()
+	table := make([]graphSig, f.EdgeCount())
+	for e := range table {
+		from, to := f.EdgeEndpoints(e)
+		table[e] = edgeSig(ids[from], ids[to])
+	}
+	return table
 }
 
 // graphSigOf hashes a full edge set, used by tests and map-graph callers.
@@ -755,11 +978,10 @@ type matchKey struct {
 	sig  graphSig
 }
 
-// matchCache memoizes finished candidate lists across the DFS workers. It
-// is the solver-level counterpart of iso.Cache (which memoizes raw VF2
-// mapping sets): a hit here skips the isomorphism search *and* the match
-// costing pipeline behind it, and the retained values are at most
-// MatchLimit candidates each. Entries beyond the cap are computed and
+// matchCache memoizes finished candidate lists across the DFS workers: a
+// hit skips the isomorphism search *and* the match costing pipeline
+// behind it, and the retained values are at most MatchLimit candidates
+// each. Entries beyond the cap are computed and
 // returned but not retained. Safe for concurrent use.
 type matchCache struct {
 	mu      sync.RWMutex
@@ -769,9 +991,15 @@ type matchCache struct {
 	misses  atomic.Uint64
 }
 
+// DefaultCacheEntries bounds a match cache built with a zero (or
+// negative) entry cap. Entries are small (at most MatchLimit candidates
+// over graphs of tens of vertices), so tens of thousands of them stay in
+// the tens of megabytes.
+const DefaultCacheEntries = 1 << 15
+
 func newMatchCache(maxEntries int) *matchCache {
 	if maxEntries <= 0 {
-		maxEntries = iso.DefaultCacheEntries
+		maxEntries = DefaultCacheEntries
 	}
 	return &matchCache{entries: make(map[matchKey][]candidate), max: maxEntries}
 }
@@ -799,20 +1027,17 @@ func (c *matchCache) put(key matchKey, cands []candidate) {
 	c.mu.Unlock()
 }
 
-// candRank builds the canonical expansion rank of a candidate: library
-// position then covered-edge key. Disjoint matches always differ in cover
-// key, so ranks are unique within a decomposition.
-func candRank(primIdx int, covered [][2]graph.NodeID) string {
-	return string([]byte{byte(primIdx >> 8), byte(primIdx)}) + coverKey(covered)
-}
-
-func coverKey(covered [][2]graph.NodeID) string {
-	b := make([]byte, 0, len(covered)*8)
-	for _, k := range covered {
-		b = append(b,
-			byte(k[0]>>8), byte(k[0]),
-			byte(k[1]>>8), byte(k[1]),
-		)
+// rankOf builds the canonical expansion rank of a candidate: library
+// position (2 bytes) then its ascending covered edge ids (4 bytes each,
+// big-endian). Frozen edge ids ascend in (From, To) order, so ranks of one
+// primitive order exactly like their sorted covered NodeID pairs.
+// Disjoint matches always differ in covered edges, so ranks are unique
+// within a decomposition.
+func rankOf(primIdx int, ids []int32) string {
+	b := make([]byte, 2, 2+4*len(ids))
+	b[0], b[1] = byte(primIdx>>8), byte(primIdx)
+	for _, e := range ids {
+		b = binary.BigEndian.AppendUint32(b, uint32(e))
 	}
 	return string(b)
 }

@@ -18,8 +18,10 @@
 // CSR views: adjacency rows are read as zero-copy subslices, target-edge
 // membership is a flat bitset, and the solver's edge-subset bitmask
 // (graph.EdgeMask) restricts the target without materializing a subtracted
-// graph. FindAll remains the map-graph convenience front; FindAllFrozen is
-// the hot-path entry the decomposition solver uses.
+// graph. There is one search path. Each matching is recorded as the dense
+// pattern-to-target index vector, appended to one flat buffer; FindAll and
+// FindAllFrozen convert that buffer into Mappings, while the decomposition
+// solver reads it directly through a reusable per-worker Matcher.
 package iso
 
 import (
@@ -100,9 +102,41 @@ func FindAll(pattern, target *graph.Graph, opts Options) ([]Mapping, error) {
 // FindAllFrozen enumerates subgraph monomorphisms from the frozen pattern
 // into the frozen target restricted to the edges set in mask (nil means
 // every edge). Enumeration order is identical to FindAll on the equivalent
-// map graphs: dense indices ascend by NodeID in both representations.
+// map graphs: dense indices ascend by NodeID in both representations. It is
+// Matcher.FindAll with each dense result converted into a Mapping.
 func FindAllFrozen(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Options) ([]Mapping, error) {
-	s := newState(pattern, target, mask, opts)
+	var m Matcher
+	flat, err := m.FindAll(pattern, target, mask, opts)
+	pn := pattern.NodeCount()
+	var out []Mapping
+	for r := 0; r < len(flat); r += pn {
+		mp := make(Mapping, pn)
+		for pi, ti := range flat[r : r+pn] {
+			mp[pattern.IDOf(pi)] = target.IDOf(int(ti))
+		}
+		out = append(out, mp)
+	}
+	return out, err
+}
+
+// Matcher is a reusable VF2 search. Its buffers survive between calls and
+// are re-targeted to each new (pattern, target, mask) query, so a caller
+// that issues many queries — a decomposition worker matching every
+// library primitive at every tree node — allocates only while a query
+// outgrows them. A Matcher is not safe for concurrent use; the zero value
+// is ready to use.
+type Matcher struct {
+	s state
+}
+
+// FindAll is FindAllFrozen in dense form. Each matching is
+// pattern.NodeCount() consecutive entries of the returned buffer: entry k
+// is the target dense index that pattern dense index k maps to. Matchings
+// come in FindAllFrozen's order. The buffer belongs to the Matcher and is
+// overwritten by its next call.
+func (m *Matcher) FindAll(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Options) ([]int32, error) {
+	s := &m.s
+	s.reset(pattern, target, mask, opts)
 	if !s.plausible() {
 		return nil, nil
 	}
@@ -115,16 +149,16 @@ func FindAllFrozen(pattern, target *graph.Frozen, mask graph.EdgeMask, opts Opti
 // filtered copies packed into one flat backing array); core arrays hold the
 // partial mapping; terminal-set membership depths (tin/tout) implement the
 // VF2 look-ahead sets; tAdjOut/tAdjIn are flat bitsets for O(1) target edge
-// membership.
+// membership. Every slice is reused across reset calls.
 type state struct {
 	opts Options
 
 	pn, tn int // vertex counts
 
-	pID, tID []graph.NodeID // dense index -> original id
-
 	pOut, pIn [][]int32 // pattern adjacency (dense)
 	tOut, tIn [][]int32 // target adjacency (dense, mask-filtered)
+
+	outFlat, inFlat []int32 // backing arrays of the mask-filtered rows
 
 	pEdges, tEdges int
 
@@ -139,28 +173,32 @@ type state struct {
 	out1, in1 []int32
 	out2, in2 []int32
 
-	order []int32 // pattern vertex visit order (connectivity-first)
+	order   []int32 // pattern vertex visit order (connectivity-first)
+	visited []bool  // connectivityOrder scratch
+	all     []int32 // 0..tn-1, the candidates of an unanchored vertex
 
-	results   []Mapping
+	results   []int32 // pn entries (a copy of core1) per matching
+	found     int     // matchings recorded in results
 	checkTick int
 	deadline  bool
 }
 
-func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
-	s := &state{opts: opts}
+// reset re-targets the state to a new query, reusing every buffer that is
+// already large enough.
+func (s *state) reset(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) {
+	s.opts = opts
 	s.pn, s.tn = p.NodeCount(), t.NodeCount()
-	s.pID, s.tID = p.IDs(), t.IDs()
 	s.pEdges = p.EdgeCount()
+	s.results, s.found = s.results[:0], 0
+	s.checkTick, s.deadline = 0, false
 
-	s.pOut = make([][]int32, s.pn)
-	s.pIn = make([][]int32, s.pn)
+	s.pOut, s.pIn = resize(s.pOut, s.pn), resize(s.pIn, s.pn)
 	for i := 0; i < s.pn; i++ {
 		s.pOut[i] = p.Out(i)
 		s.pIn[i] = p.In(i)
 	}
 
-	s.tOut = make([][]int32, s.tn)
-	s.tIn = make([][]int32, s.tn)
+	s.tOut, s.tIn = resize(s.tOut, s.tn), resize(s.tIn, s.tn)
 	if mask == nil {
 		for i := 0; i < s.tn; i++ {
 			s.tOut[i] = t.Out(i)
@@ -171,8 +209,11 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 		// Pack the mask-filtered rows into two flat backing arrays. The
 		// capacity covers every edge, so the append never reallocates and
 		// the row subslices stay valid.
-		outFlat := make([]int32, 0, t.EdgeCount())
-		inFlat := make([]int32, 0, t.EdgeCount())
+		if cap(s.outFlat) < t.EdgeCount() {
+			s.outFlat = make([]int32, 0, t.EdgeCount())
+			s.inFlat = make([]int32, 0, t.EdgeCount())
+		}
+		outFlat, inFlat := s.outFlat[:0], s.inFlat[:0]
 		for i := 0; i < s.tn; i++ {
 			e := t.OutEdgeStart(i)
 			lo := len(outFlat)
@@ -198,8 +239,9 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 	}
 
 	s.tw = (s.tn + 63) / 64
-	s.tAdjOut = make([]uint64, s.tn*s.tw)
-	s.tAdjIn = make([]uint64, s.tn*s.tw)
+	s.tAdjOut, s.tAdjIn = resize(s.tAdjOut, s.tn*s.tw), resize(s.tAdjIn, s.tn*s.tw)
+	clear(s.tAdjOut)
+	clear(s.tAdjIn)
 	for i := 0; i < s.tn; i++ {
 		row := i * s.tw
 		for _, v := range s.tOut[i] {
@@ -210,14 +252,25 @@ func newState(p, t *graph.Frozen, mask graph.EdgeMask, opts Options) *state {
 		}
 	}
 
-	s.core1 = fill(s.pn, -1)
-	s.core2 = fill(s.tn, -1)
-	s.out1 = make([]int32, s.pn)
-	s.in1 = make([]int32, s.pn)
-	s.out2 = make([]int32, s.tn)
-	s.in2 = make([]int32, s.tn)
-	s.order = connectivityOrder(s.pn, s.pOut, s.pIn)
-	return s
+	s.core1, s.core2 = resize(s.core1, s.pn), resize(s.core2, s.tn)
+	for i := range s.core1 {
+		s.core1[i] = -1
+	}
+	for i := range s.core2 {
+		s.core2[i] = -1
+	}
+	s.out1, s.in1 = resize(s.out1, s.pn), resize(s.in1, s.pn)
+	s.out2, s.in2 = resize(s.out2, s.tn), resize(s.in2, s.tn)
+	clear(s.out1)
+	clear(s.in1)
+	clear(s.out2)
+	clear(s.in2)
+	s.all = resize(s.all, s.tn)
+	for i := range s.all {
+		s.all[i] = int32(i)
+	}
+	s.visited = resize(s.visited, s.pn)
+	s.order = connectivityOrder(s.pOut, s.pIn, s.visited, s.order[:0])
 }
 
 // hasOutEdge reports whether the target edge ti->tt survives the mask.
@@ -257,17 +310,16 @@ func (s *state) search(depth int) error {
 		}
 	}
 	if depth == s.pn {
-		m := make(Mapping, s.pn)
-		for pi, ti := range s.core1 {
-			m[s.pID[pi]] = s.tID[ti]
-		}
-		s.results = append(s.results, m)
+		s.results = append(s.results, s.core1...)
+		s.found++
 		return nil
 	}
 
 	pi := s.order[depth]
 	for _, ti := range s.candidates(pi) {
-		if !s.feasible(pi, ti) {
+		// Every branch below restores core2 before the next candidate, so
+		// this skips exactly the vertices mapped when the loop began.
+		if s.core2[ti] >= 0 || !s.feasible(pi, ti) {
 			continue
 		}
 		s.addPair(pi, ti, int32(depth+1))
@@ -276,7 +328,7 @@ func (s *state) search(depth int) error {
 			return err
 		}
 		s.removePair(pi, ti, int32(depth+1))
-		if s.opts.Limit > 0 && len(s.results) >= s.opts.Limit {
+		if s.opts.Limit > 0 && s.found >= s.opts.Limit {
 			return nil
 		}
 	}
@@ -284,30 +336,26 @@ func (s *state) search(depth int) error {
 }
 
 // candidates returns the target vertices to try for pattern vertex pi, in
-// ascending original-id order for determinism. If pi has a mapped neighbor
-// the candidates are restricted to the corresponding target neighborhood.
+// ascending original-id order for determinism; the caller skips the ones
+// already mapped. If pi has a mapped neighbor the candidates are
+// restricted to the corresponding target neighborhood. The slice is
+// read-only storage of the state.
 func (s *state) candidates(pi int32) []int32 {
 	// Prefer anchoring through an already-mapped pattern predecessor or
 	// successor: candidates are then the target neighbors of its image.
 	for _, pp := range s.pIn[pi] {
 		if tt := s.core1[pp]; tt >= 0 {
-			return filterUnmapped(s.tOut[tt], s.core2)
+			return s.tOut[tt]
 		}
 	}
 	for _, pp := range s.pOut[pi] {
 		if tt := s.core1[pp]; tt >= 0 {
-			return filterUnmapped(s.tIn[tt], s.core2)
+			return s.tIn[tt]
 		}
 	}
-	// No mapped neighbor (first vertex of a component): all unmapped
-	// target vertices.
-	out := make([]int32, 0, s.tn)
-	for ti := int32(0); ti < int32(s.tn); ti++ {
-		if s.core2[ti] < 0 {
-			out = append(out, ti)
-		}
-	}
-	return out
+	// No mapped neighbor (first vertex of a component): every target
+	// vertex.
+	return s.all
 }
 
 // feasible applies the VF2 syntactic feasibility rules for the candidate
@@ -450,14 +498,11 @@ func (s *state) removePair(pi, ti, depth int32) {
 // connectivityOrder visits pattern vertices so that each vertex after the
 // first within a component has at least one previously-visited neighbor,
 // maximizing anchoring. Components are entered at their highest-degree
-// vertex; ties break toward lower dense index.
-func connectivityOrder(n int, out, in [][]int32) []int32 {
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		deg[i] = len(out[i]) + len(in[i])
-	}
-	visited := make([]bool, n)
-	order := make([]int32, 0, n)
+// vertex; ties break toward lower dense index. visited (len n, any
+// contents) is scratch; the order is appended to order.
+func connectivityOrder(out, in [][]int32, visited []bool, order []int32) []int32 {
+	n := len(out)
+	clear(visited)
 	for len(order) < n {
 		// Pick the unvisited vertex with a visited neighbor, preferring
 		// high degree; otherwise the highest-degree unvisited vertex.
@@ -481,7 +526,7 @@ func connectivityOrder(n int, out, in [][]int32) []int32 {
 					}
 				}
 			}
-			score := anchored*1000 + deg[i]
+			score := anchored*1000 + len(out[i]) + len(in[i])
 			if score > bestScore {
 				best, bestScore = i, score
 			}
@@ -492,22 +537,13 @@ func connectivityOrder(n int, out, in [][]int32) []int32 {
 	return order
 }
 
-func filterUnmapped(cands []int32, core2 []int32) []int32 {
-	out := make([]int32, 0, len(cands))
-	for _, c := range cands {
-		if core2[c] < 0 {
-			out = append(out, c)
-		}
+// resize returns s with length n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return out
-}
-
-func fill(n int, v int32) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
+	return s[:n]
 }
 
 func contains(s []int32, v int32) bool {

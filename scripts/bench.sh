@@ -90,11 +90,19 @@ tojson() {
         }'
 }
 
+# Host tags: numbers are comparable only between entries from the same
+# host class.
+cpu=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)
+nproc_n=$(nproc)
+gomaxprocs="${GOMAXPROCS:-$nproc_n}"
+gover=$(go env GOVERSION)
+
 entry_json=$(mktemp)
 {
     echo '{'
     echo "  \"label\": \"$label\","
     echo "  \"recorded\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
+    echo "  \"host\": {\"cpu\": \"${cpu:-unknown}\", \"nproc\": $nproc_n, \"gomaxprocs\": $gomaxprocs, \"go\": \"$gover\"},"
     echo '  "suite": "solver+vf2+nocsim hot paths + batch engine + service path + saturation sweep",'
     echo "  \"benchtime\": \"$benchtime\","
     echo "  \"count\": $count,"
