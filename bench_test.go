@@ -440,6 +440,34 @@ func ba10kFixture(b *testing.B) *topology.Architecture {
 	return ba10k.arch
 }
 
+// BenchmarkCompileDenseBA1k times the dense all-pairs compile pipeline
+// the batch planner runs for every architecture up to maxDenseSimNodes:
+// Build, all-pairs AssignVirtualChannels and CompileTable on the
+// 1000-router scale-free fixture — about 10⁶ routes, each resolved in
+// frozen index space. The table-bytes metric is the dense plan layout's
+// resident footprint.
+func BenchmarkCompileDenseBA1k(b *testing.B) {
+	arch, _ := ba1kFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ct *routing.CompiledTable
+	for i := 0; i < b.N; i++ {
+		table, err := routing.Build(arch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vcs, err := routing.AssignVirtualChannels(table, arch, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ct, err = routing.CompileTable(table, arch, vcs)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ct.MemoryFootprint()), "table-bytes")
+}
+
 // BenchmarkCompileSparseBA10k times the demand-driven compile pipeline
 // at the scale the dense path cannot reach: 10,000 scale-free routers
 // under hotspot demand (every source x 4 hubs, ~40k pairs). Each

@@ -49,6 +49,11 @@
 //
 // Every mode honors Ctrl-C/SIGTERM: in-flight solves are canceled and the
 // best results found so far are still printed.
+//
+// -cpuprofile and -memprofile write pprof CPU and heap profiles of any
+// mode, as nocsim and nocsynth do:
+//
+//	experiments -table routing -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -63,6 +68,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"syscall"
@@ -98,7 +104,31 @@ func main() {
 	serveURL := flag.String("serve-url", "", "drive a running nocserve daemon instead of solving in-process (-batch mode)")
 	dumpACG := flag.String("dumpacg", "", "write one scenario ACG as JSON to -out: aes, fig5, or tgff:<nodes>:<seed>")
 	sweepPatterns := flag.String("sweeppatterns", "", "stress-characterize every synthesized batch architecture under these comma-separated traffic patterns (\"all\" = every built-in pattern)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
+
+	// Profiling wraps every mode; the deferred writers run on all normal
+	// exits (check's os.Exit error path skips them, by design).
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		check(err)
+		check(pprof.StartCPUProfile(f))
+		defer func() {
+			pprof.StopCPUProfile()
+			check(f.Close())
+		}()
+	}
+	if *memProfile != "" {
+		path := *memProfile
+		defer func() {
+			f, err := os.Create(path)
+			check(err)
+			runtime.GC()
+			check(pprof.WriteHeapProfile(f))
+			check(f.Close())
+		}()
+	}
 
 	// Every mode shares one signal-bound context: Ctrl-C cancels the
 	// running solves, and each mode still reports what it finished.

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 	"math/bits"
 )
@@ -296,17 +295,22 @@ func (f *Frozen) ShortestPathTree(src int, w []float64) (dist []float64, prev []
 // route precompute) allocates one scratch and amortizes every buffer
 // across calls; the zero value is ready to use.
 type TreeScratch struct {
-	dist []float64
-	prev []int32
-	done []bool
-	pq   idxPQ
+	dist  []float64
+	prev  []int32
+	done  []bool
+	pq    idxPQ
+	queue []int32
 }
 
 // ShortestPathTreeInto is ShortestPathTree with caller-owned working
-// memory: all four buffers are taken from s (grown as needed) and the
+// memory: every buffer is taken from s (grown as needed) and the
 // returned dist/prev alias s, valid until the next call with the same
 // scratch. A nil scratch allocates freshly, exactly like
 // ShortestPathTree. Tie-breaks are identical to ShortestPathTree.
+//
+// When every edge has the same positive cost (unit-length links, the
+// common case off a floorplan) the tree comes from a breadth-first
+// search instead: see levelTree for why it is the same tree.
 func (f *Frozen) ShortestPathTreeInto(src int, w []float64, s *TreeScratch) (dist []float64, prev []int32) {
 	if s == nil {
 		s = &TreeScratch{}
@@ -318,34 +322,88 @@ func (f *Frozen) ShortestPathTreeInto(src int, w []float64, s *TreeScratch) (dis
 		s.done = make([]bool, n)
 	}
 	dist, prev = s.dist[:n], s.prev[:n]
-	done := s.done[:n]
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
-		done[i] = false
 	}
 	dist[src] = 0
+	if c, ok := uniformCost(w); ok {
+		f.levelTree(src, c, dist, prev, s)
+	} else {
+		f.dijkstra(src, w, dist, prev, s)
+	}
+	return dist, prev
+}
+
+// uniformCost reports the cost every edge shares, if it is one positive
+// value.
+func uniformCost(w []float64) (float64, bool) {
+	if len(w) == 0 || !(w[0] > 0) {
+		return 0, false
+	}
+	for _, x := range w {
+		if x != w[0] {
+			return 0, false
+		}
+	}
+	return w[0], true
+}
+
+// dijkstra fills dist/prev (initialized to +Inf/-1, dist[src] = 0).
+func (f *Frozen) dijkstra(src int, w []float64, dist []float64, prev []int32, s *TreeScratch) {
+	done := s.done[:len(dist)]
+	clear(done)
 	pq := &s.pq
 	*pq = append((*pq)[:0], idxItem{id: int32(src), cost: 0})
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(idxItem)
-		u := int(item.id)
+	for len(*pq) > 0 {
+		u := int(pq.pop().id)
 		if done[u] {
 			continue
 		}
 		done[u] = true
 		e := int(f.outOff[u])
 		for _, v := range f.Out(u) {
-			nd := dist[u] + w[e]
-			if nd < dist[v] || (nd == dist[v] && int32(u) < prev[v]) {
+			switch nd := dist[u] + w[e]; {
+			case nd < dist[v]:
 				dist[v] = nd
 				prev[v] = int32(u)
-				heap.Push(pq, idxItem{id: v, cost: nd})
+				pq.push(idxItem{id: v, cost: nd})
+			case nd == dist[v] && int32(u) < prev[v]:
+				// Equal cost, lower predecessor: (v, nd) is already
+				// queued (or settled), and a second identical item
+				// would only be popped and skipped.
+				prev[v] = int32(u)
 			}
 			e++
 		}
 	}
-	return dist, prev
+}
+
+// levelTree is dijkstra for a single positive edge cost c, as a
+// breadth-first search. Dijkstra settles such a graph level by level:
+// every vertex k hops out gets the same distance (k additions of c, in
+// the same order), all of level k pops before level k+1, and a level-k+1
+// vertex keeps the lowest-index level-k vertex adjacent to it as its
+// predecessor. The search below visits the levels in the same order and
+// keeps the same predecessor — lower index wins among the previous
+// level — so dist and prev come out bit for bit equal.
+func (f *Frozen) levelTree(src int, c float64, dist []float64, prev []int32, s *TreeScratch) {
+	queue := append(s.queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		nd := dist[u] + c
+		for _, v := range f.Out(int(u)) {
+			switch {
+			case nd < dist[v]: // unvisited
+				dist[v] = nd
+				prev[v] = u
+				queue = append(queue, v)
+			case nd == dist[v] && u < prev[v]:
+				prev[v] = u
+			}
+		}
+	}
+	s.queue = queue
 }
 
 // PathFromTree reconstructs the src->dst vertex-index path from a
@@ -375,21 +433,68 @@ type idxItem struct {
 	cost float64
 }
 
+// idxPQ is a typed binary min-heap over idxItem ordered by (cost, id):
+// no interface boxing per push or pop. The order is total and the
+// search never queues the same (cost, id) twice, so the minimum is
+// always unique and the pop sequence — hence every tree — is the one
+// any correct priority queue (container/heap included) produces.
 type idxPQ []idxItem
 
-func (p idxPQ) Len() int { return len(p) }
-func (p idxPQ) Less(i, j int) bool {
-	if p[i].cost != p[j].cost {
-		return p[i].cost < p[j].cost
+func (a idxItem) less(b idxItem) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
 	}
-	return p[i].id < p[j].id
+	return a.id < b.id
 }
-func (p idxPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *idxPQ) Push(x interface{}) { *p = append(*p, x.(idxItem)) }
-func (p *idxPQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+
+func (p *idxPQ) push(it idxItem) {
+	h := append(*p, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.less(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = it
+	*p = h
+}
+
+// pop removes the minimum. The root's hole first sinks to a leaf along
+// the smaller children (one comparison per level), then the last item
+// rises into it from there — usually at once, since it came from the
+// bottom.
+func (p *idxPQ) pop() idxItem {
+	h := *p
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if r := j + 1; r < n && h[r].less(h[j]) {
+				j = r
+			}
+			h[i] = h[j]
+			i = j
+		}
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !last.less(h[parent]) {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
+		}
+		h[i] = last
+	}
+	*p = h
+	return top
 }

@@ -219,3 +219,47 @@ func TestShortestPathTreeMatchesShortestPath(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelTreeMatchesDijkstra pins the uniform-cost fast path: with one
+// positive cost on every edge, ShortestPathTree answers by breadth-first
+// search, and its dist and prev arrays must equal the Dijkstra search's
+// bit for bit (and the map-based per-pair paths, as above).
+func TestLevelTreeMatchesDijkstra(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		g := randomDigraph(40, 0.08, 300+seed)
+		f := g.Freeze()
+		for _, c := range []float64{1, 0.3, 2.5} {
+			w := make([]float64, f.EdgeCount())
+			for e := range w {
+				w[e] = c
+			}
+			if _, ok := uniformCost(w); !ok && len(w) > 0 {
+				t.Fatalf("seed %d cost %g: uniform weights not detected", seed, c)
+			}
+			var scratch TreeScratch
+			for src := 0; src < f.NodeCount(); src++ {
+				dist, prev := f.ShortestPathTree(src, w)
+				wantDist := make([]float64, len(dist))
+				wantPrev := make([]int32, len(prev))
+				for i := range wantDist {
+					wantDist[i], wantPrev[i] = math.Inf(1), -1
+				}
+				wantDist[src] = 0
+				scratch.done = make([]bool, len(dist))
+				f.dijkstra(src, w, wantDist, wantPrev, &scratch)
+				for v := range dist {
+					if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
+						t.Fatalf("seed %d cost %g src %d: vertex %d has (%g, %d), Dijkstra (%g, %d)",
+							seed, c, src, v, dist[v], prev[v], wantDist[v], wantPrev[v])
+					}
+				}
+			}
+		}
+	}
+	if _, ok := uniformCost([]float64{0, 0}); ok {
+		t.Fatal("zero cost taken for the breadth-first path")
+	}
+	if _, ok := uniformCost([]float64{1, 1, 2}); ok {
+		t.Fatal("mixed costs taken for the breadth-first path")
+	}
+}

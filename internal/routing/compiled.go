@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -74,11 +75,12 @@ type CompiledTable struct {
 
 // CompileTable flattens a routing table and its deadlock-free VC
 // assignment over the architecture into a dense all-pairs CompiledTable.
-// Every ordered node pair is resolved through Table.Route and
-// VCAssignment.VCForHop — the compiled plans are definitionally
-// identical to what per-packet resolution would produce — and every hop
-// is checked against the architecture's frozen adjacency, so consumers
-// can trust plans without re-validating links.
+// The table is read once into a next-hop matrix over the architecture's
+// frozen graph and every ordered pair is walked through it, so every hop
+// is checked against the frozen adjacency (consumers can trust plans
+// without re-validating links) and the per-hop VCs are the dateline
+// descents VCAssignment.VCForHop reports — the compiled plans are
+// definitionally identical to per-packet resolution.
 func CompileTable(table Table, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
 	if table == nil || arch == nil {
 		return nil, fmt.Errorf("routing: compile needs a table and an architecture")
@@ -107,7 +109,6 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 	if vc.NumVCs > maxCompiledVCs {
 		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
 	}
-	ids := frz.IDs()
 	sorted := pairs.Sorted()
 	ct := &CompiledTable{
 		frz:    frz,
@@ -116,10 +117,12 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 		dsts:   make([]int32, 0, len(sorted)),
 		start:  make([]int32, 0, len(sorted)+1),
 	}
+	labels := compileLabels(vc, frz)
+	w := &routeWalker{frz: frz, router: router}
 	ct.start = append(ct.start, 0)
 	for _, pr := range sorted {
 		s, d := int(pr[0]), int(pr[1])
-		if err := ct.appendPlan(router, ids, vc, s, d, false); err != nil {
+		if err := ct.appendPlan(w, labels, vc, s, d, false); err != nil {
 			return nil, err
 		}
 		ct.dsts = append(ct.dsts, pr[1])
@@ -129,88 +132,145 @@ func CompileTablePairs(router Router, arch *topology.Architecture, vc VCAssignme
 	for s := 0; s < n; s++ {
 		ct.srcOff[s+1] += ct.srcOff[s]
 	}
-	ct.lazy = newLazyPlans(router, vc)
+	ct.lazy = newLazyPlans(router, vc, labels)
 	return ct, nil
 }
 
-// compileAllPairs builds the dense layout over every ordered pair.
+// compileAllPairs builds the dense layout over every ordered pair. One
+// walk per pair collects each source's routes as edge ids, back to back,
+// and sizes every plan span; the plan arrays are then allocated once at
+// their final size and filled in a sequential pass over the collected
+// edges.
 func compileAllPairs(router Router, arch *topology.Architecture, vc VCAssignment) (*CompiledTable, error) {
 	frz := arch.Graph().Freeze()
 	n := frz.NodeCount()
 	if vc.NumVCs > maxCompiledVCs {
 		return nil, fmt.Errorf("routing: %d virtual channels exceed the compiled plan limit %d", vc.NumVCs, maxCompiledVCs)
 	}
-	ids := frz.IDs()
 	ct := &CompiledTable{
 		frz:    frz,
 		numVCs: vc.NumVCs,
 		start:  make([]int32, n*n+1),
 	}
+	w := newAllPairsWalker(router, frz)
+	ids := frz.IDs()
+	hops := make([][]int32, n) // hops[s]: the edges of s's routes, destination order
+	positions := 0
 	for si := range ids {
+		if si > 0 { // rows are similar in length: size each from the last
+			hops[si] = make([]int32, 0, len(hops[si-1])+len(hops[si-1])/8)
+		}
 		for di := range ids {
-			pair := si*n + di
-			ct.start[pair] = int32(len(ct.nodes))
+			ct.start[si*n+di] = int32(positions)
 			if si == di {
 				continue
 			}
-			if err := ct.appendPlan(router, ids, vc, si, di, false); err != nil {
-				return nil, err
+			edges, err := w.walk(si, di)
+			if err != nil {
+				return nil, fmt.Errorf("routing: compile %d->%d: %w", ids[si], ids[di], err)
 			}
+			hops[si] = append(hops[si], edges...)
+			positions += len(edges) + 1
 		}
 	}
-	ct.start[n*n] = int32(len(ct.nodes))
+	ct.start[n*n] = int32(positions)
+	ct.nodes = make([]graph.NodeID, positions)
+	ct.vcs = make([]uint8, positions)
+	ct.outSlot = make([]int32, positions)
+	labels := compileLabels(vc, frz)
+	for si := range ids {
+		row := hops[si]
+		for di := range ids {
+			lo, hi := int(ct.start[si*n+di]), int(ct.start[si*n+di+1])
+			if lo == hi {
+				continue
+			}
+			if err := ct.writePlan(lo, si, di, row[:hi-lo-1], labels, vc, false); err != nil {
+				return nil, err
+			}
+			row = row[hi-lo-1:]
+		}
+		hops[si] = nil
+	}
 	return ct, nil
 }
 
-// appendPlan resolves pair (si, di) through the router and appends its
-// positions to the plan arrays, validating every hop against the frozen
-// adjacency. With clampVC set (the lazy path), out-of-range dateline VCs
-// are clamped into the table's lane range instead of failing: a lazily
-// resolved route may descend more often than any ahead-of-time route,
-// and the top lane is always a safe escape.
-func (ct *CompiledTable) appendPlan(router Router, ids []graph.NodeID, vc VCAssignment, si, di int, clampVC bool) error {
-	src, dst := ids[si], ids[di]
-	route, err := router.Route(src, dst)
-	if err != nil {
-		return fmt.Errorf("routing: compile %d->%d: %w", src, dst, err)
+// compileLabels translates the assignment's dateline labels onto the
+// compile graph's edge ids (labels[e] is the label of edge e), or returns
+// nil when the assignment does not use labels. When the assignment was
+// made over the same architecture this is the identity; it differs only
+// for a table compiled against another topology (a fault-masked one).
+func compileLabels(vc VCAssignment, frz *graph.Frozen) []int32 {
+	if vc.fn != nil || vc.singleVC {
+		return nil
 	}
+	ids := frz.IDs()
+	labels := make([]int32, frz.EdgeCount())
+	for e := range labels {
+		from, to := frz.EdgeEndpoints(e)
+		labels[e] = vc.label(ids[from], ids[to])
+	}
+	return labels
+}
+
+// appendPlan walks pair (si, di) and appends its plan to the arrays.
+func (ct *CompiledTable) appendPlan(w *routeWalker, labels []int32, vc VCAssignment, si, di int, clampVC bool) error {
+	edges, err := w.walk(si, di)
+	if err != nil {
+		return fmt.Errorf("routing: compile %d->%d: %w", ct.frz.IDOf(si), ct.frz.IDOf(di), err)
+	}
+	lo, k := len(ct.nodes), len(edges)+1
+	ct.nodes = slices.Grow(ct.nodes, k)[:lo+k]
+	ct.vcs = slices.Grow(ct.vcs, k)[:lo+k]
+	ct.outSlot = slices.Grow(ct.outSlot, k)[:lo+k]
+	return ct.writePlan(lo, si, di, edges, labels, vc, clampVC)
+}
+
+// writePlan fills the plan positions from lo on for the route of pair
+// (si, di), given as edge ids the walk has already checked against the
+// frozen adjacency: a hop's output slot is its edge id's offset in the
+// CSR row, its dateline VC the running count of label descents, and
+// the final position carries VC 0 and the destination's ejection slot.
+// With clampVC set (the lazy path), out-of-range VCs are clamped into
+// the table's lane range instead of failing: a lazily resolved route may
+// descend more often than any ahead-of-time route, and the top lane is
+// always a safe escape.
+func (ct *CompiledTable) writePlan(lo, si, di int, edges, labels []int32, vc VCAssignment, clampVC bool) error {
 	frz := ct.frz
-	for i, id := range route {
-		ri, ok := frz.IndexOf(id)
-		if !ok {
-			return fmt.Errorf("routing: compile %d->%d: route visits unknown node %d", src, dst, id)
-		}
-		slot := int32(frz.OutDegree(ri)) // local ejection slot
-		if i+1 < len(route) {
-			next, ok := frz.IndexOf(route[i+1])
-			if !ok {
-				return fmt.Errorf("routing: compile %d->%d: route visits unknown node %d", src, dst, route[i+1])
-			}
-			slot, ok = csrSlotOf(frz.Out(ri), int32(next))
-			if !ok {
-				// A stale table compiled against a fault-masked
-				// architecture lands here: the route exists but a
-				// link it uses does not, so the pair is unroutable
-				// on this topology and the typed sentinel applies.
-				return fmt.Errorf("routing: compile %d->%d: route uses missing link %d-%d: %w",
-					src, dst, id, route[i+1], ErrNoRoute)
-			}
-		}
+	ids := frz.IDs()
+	last := si
+	for i, e := range edges {
+		from, to := frz.EdgeEndpoints(int(e))
+		ct.nodes[lo+i] = ids[from]
+		ct.outSlot[lo+i] = e - int32(frz.OutEdgeStart(int(from)))
+		last = int(to)
+	}
+	end := lo + len(edges)
+	ct.nodes[end] = ids[last]
+	ct.outSlot[end] = int32(frz.OutDegree(last)) // local ejection slot
+	ct.vcs[end] = 0
+	route := ct.nodes[lo : end+1 : end+1]
+	maxVC := max(vc.NumVCs, 1)
+	descents := 0
+	for i, e := range edges {
 		hopVC := 0
-		if i+1 < len(route) {
-			hopVC = vc.VCForHop(route, i)
-			maxVC := max(vc.NumVCs, 1)
-			if clampVC && hopVC >= maxVC {
-				hopVC = maxVC - 1
+		switch {
+		case vc.fn != nil:
+			hopVC = vc.fn(route, i)
+		case labels != nil:
+			if i > 0 && labels[e] <= labels[edges[i-1]] {
+				descents++
 			}
-			if hopVC < 0 || hopVC >= maxVC {
-				return fmt.Errorf("routing: compile %d->%d: hop %d VC %d outside [0,%d)",
-					src, dst, i, hopVC, maxVC)
-			}
+			hopVC = descents
 		}
-		ct.nodes = append(ct.nodes, id)
-		ct.vcs = append(ct.vcs, uint8(hopVC))
-		ct.outSlot = append(ct.outSlot, slot)
+		if clampVC && hopVC >= maxVC {
+			hopVC = maxVC - 1
+		}
+		if hopVC < 0 || hopVC >= maxVC {
+			return fmt.Errorf("routing: compile %d->%d: hop %d VC %d outside [0,%d)",
+				ids[si], ids[di], i, hopVC, maxVC)
+		}
+		ct.vcs[lo+i] = uint8(hopVC)
 	}
 	return nil
 }
@@ -449,13 +509,14 @@ type lazyShard struct {
 type lazyPlans struct {
 	router   Router
 	vc       VCAssignment
+	labels   []int32
 	perShard atomic.Int64
 	compiles atomic.Int64
 	shards   [lazyShardCount]lazyShard
 }
 
-func newLazyPlans(router Router, vc VCAssignment) *lazyPlans {
-	lp := &lazyPlans{router: router, vc: vc}
+func newLazyPlans(router Router, vc VCAssignment, labels []int32) *lazyPlans {
+	lp := &lazyPlans{router: router, vc: vc, labels: labels}
 	lp.setBound(DefaultLazyPlanBound)
 	return lp
 }
@@ -502,7 +563,8 @@ func (lp *lazyPlans) plan(ct *CompiledTable, s, d int) ([]graph.NodeID, []uint8,
 	// clamping apply verbatim; the three freshly cut slices then live in
 	// the cache, immutable.
 	scratch := &CompiledTable{frz: ct.frz, numVCs: ct.numVCs}
-	if err := scratch.appendPlan(lp.router, ct.frz.IDs(), lp.vc, s, d, true); err != nil {
+	w := &routeWalker{frz: ct.frz, router: lp.router}
+	if err := scratch.appendPlan(w, lp.labels, lp.vc, s, d, true); err != nil {
 		return nil, nil, nil, false
 	}
 	lp.compiles.Add(1)

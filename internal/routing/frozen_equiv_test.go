@@ -138,7 +138,7 @@ func TestBuildOnSynthesizedArchMatchesReference(t *testing.T) {
 	want := make(Table)
 	for _, pair := range arch.PreferredPairs() {
 		route, _ := arch.PreferredRoute(pair[0], pair[1])
-		if err := want.installPath(route); err != nil {
+		if err := refInstallPath(want, route); err != nil {
 			continue
 		}
 	}

@@ -58,7 +58,8 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 }
 
 // jsonVCs is the wire form of a VCAssignment: the dateline label of every
-// directed channel, sorted by (from, to).
+// directed channel, sorted by (from, to) — which makes each label its
+// own position in the list.
 type jsonVCs struct {
 	NumVCs   int         `json:"numVCs"`
 	SingleVC bool        `json:"singleVC"`
@@ -74,31 +75,43 @@ type jsonLabel struct {
 // MarshalJSON encodes the assignment deterministically.
 func (a VCAssignment) MarshalJSON() ([]byte, error) {
 	jv := jsonVCs{NumVCs: a.NumVCs, SingleVC: a.singleVC}
-	for c, l := range a.labels {
-		jv.Labels = append(jv.Labels, jsonLabel{From: c.From, To: c.To, Label: l})
-	}
-	sort.Slice(jv.Labels, func(i, j int) bool {
-		if jv.Labels[i].From != jv.Labels[j].From {
-			return jv.Labels[i].From < jv.Labels[j].From
+	if f := a.labels; f != nil {
+		ids := f.IDs()
+		for e := 0; e < f.EdgeCount(); e++ {
+			from, to := f.EdgeEndpoints(e)
+			jv.Labels = append(jv.Labels, jsonLabel{From: ids[from], To: ids[to], Label: e})
 		}
-		return jv.Labels[i].To < jv.Labels[j].To
-	})
+	}
 	return json.Marshal(jv)
 }
 
-// UnmarshalJSON decodes an assignment produced by MarshalJSON.
+// UnmarshalJSON decodes an assignment produced by MarshalJSON. The labels
+// must be the canonical ones: channels strictly ascending by (from, to),
+// each labelled with its position.
 func (a *VCAssignment) UnmarshalJSON(data []byte) error {
 	var jv jsonVCs
 	if err := json.Unmarshal(data, &jv); err != nil {
 		return err
 	}
-	labels := make(map[Channel]int, len(jv.Labels))
-	for _, l := range jv.Labels {
-		c := Channel{From: l.From, To: l.To}
-		if _, dup := labels[c]; dup {
-			return fmt.Errorf("routing: duplicate channel label %d->%d", l.From, l.To)
+	var labels *graph.Frozen
+	if len(jv.Labels) > 0 {
+		g := graph.New("labels")
+		for i, l := range jv.Labels {
+			if i > 0 {
+				p := jv.Labels[i-1]
+				if p.From == l.From && p.To == l.To {
+					return fmt.Errorf("routing: duplicate channel label %d->%d", l.From, l.To)
+				}
+				if p.From > l.From || (p.From == l.From && p.To > l.To) {
+					return fmt.Errorf("routing: channel labels not sorted at %d->%d", l.From, l.To)
+				}
+			}
+			if l.Label != i {
+				return fmt.Errorf("routing: channel %d->%d has label %d, want its position %d", l.From, l.To, l.Label, i)
+			}
+			g.SetEdge(graph.Edge{From: l.From, To: l.To})
 		}
-		labels[c] = l.Label
+		labels = g.Freeze()
 	}
 	*a = VCAssignment{NumVCs: jv.NumVCs, singleVC: jv.SingleVC, labels: labels}
 	return nil

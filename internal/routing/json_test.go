@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -95,5 +96,29 @@ func TestVCAssignmentJSONRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVCAssignmentJSONRejectsNonCanonicalLabels: a label is the
+// channel's rank in (from, to) order, so a wire form listing channels
+// out of order, twice, or under another label does not decode.
+func TestVCAssignmentJSONRejectsNonCanonicalLabels(t *testing.T) {
+	for name, wire := range map[string]string{
+		"duplicate": `{"numVCs":2,"singleVC":false,"labels":[{"from":1,"to":2,"label":0},{"from":1,"to":2,"label":1}]}`,
+		"unsorted":  `{"numVCs":2,"singleVC":false,"labels":[{"from":2,"to":1,"label":0},{"from":1,"to":2,"label":1}]}`,
+		"relabel":   `{"numVCs":2,"singleVC":false,"labels":[{"from":1,"to":2,"label":1},{"from":2,"to":1,"label":0}]}`,
+	} {
+		var dec VCAssignment
+		if err := json.Unmarshal([]byte(wire), &dec); err == nil {
+			t.Errorf("%s labels decoded", name)
+		}
+	}
+	var dec VCAssignment
+	canonical := `{"numVCs":2,"singleVC":false,"labels":[{"from":1,"to":2,"label":0},{"from":2,"to":1,"label":1}]}`
+	if err := json.Unmarshal([]byte(canonical), &dec); err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.VCForHop([]graph.NodeID{2, 1, 2}, 1); got != 1 {
+		t.Fatalf("VC after the 2->1 -> 1->2 descent = %d, want 1", got)
 	}
 }

@@ -10,7 +10,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/topology"
@@ -99,18 +98,6 @@ func (t Table) set(n, dst, next graph.NodeID) error {
 	return nil
 }
 
-// installPath writes all suffix hops of a path into the table: every
-// intermediate node learns its next hop toward the final destination.
-func (t Table) installPath(path []graph.NodeID) error {
-	dst := path[len(path)-1]
-	for i := 0; i+1 < len(path); i++ {
-		if err := t.set(path[i], dst, path[i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // lengthWeights returns the per-edge-id Dijkstra costs of a frozen
 // architecture graph: the physical link length, or 1 where the floorplan
 // offers none.
@@ -138,97 +125,147 @@ func lengthWeights(arch *topology.Architecture, f *graph.Frozen) []float64 {
 // shortest-path completion for the conflicting pairs (the table must stay
 // destination-deterministic: one next hop per (node, destination)).
 //
-// Shortest-path completion freezes the architecture graph once and runs a
-// single Dijkstra per source vertex over the CSR — the per-pair map-graph
-// searches this replaces produced identical paths (same tie-breaks), one
-// full Dijkstra per *pair*.
+// The table is assembled in the architecture's frozen index space: a
+// dense next-hop matrix of edge ids, completed from one CSR shortest-path
+// tree per source vertex (computed only if some destination of that
+// source is not covered by a preferred route), validated by walking
+// every pair through the matrix, and only then materialized as the
+// Table map.
 func Build(arch *topology.Architecture) (Table, error) {
-	if arch == nil {
-		return nil, fmt.Errorf("routing: nil architecture")
-	}
-	if !arch.Connected() {
-		return nil, fmt.Errorf("routing: architecture %q is disconnected: %w", arch.Name, ErrNoRoute)
-	}
-	t := make(Table)
-
-	for _, pair := range arch.PreferredPairs() {
-		route, _ := arch.PreferredRoute(pair[0], pair[1])
-		if err := t.installPath(route); err != nil {
-			// Conflicting suffix: drop this preferred route; the pair is
-			// completed by shortest path below.
-			continue
-		}
-	}
-
-	f := arch.Graph().Freeze()
-	w := lengthWeights(arch, f)
-	ids := f.IDs()
-	for si, src := range ids {
-		// The shortest-path tree from src is computed at most once, and
-		// only if some destination was not covered by a preferred route.
-		var prev []int32
-		for di, dst := range ids {
-			if src == dst {
-				continue
-			}
-			if _, ok := t.NextHop(src, dst); ok {
-				continue
-			}
-			if prev == nil {
-				_, prev = f.ShortestPathTree(si, w)
-			}
-			path, ok := graph.PathFromTree(prev, si, di)
-			if !ok {
-				return nil, &UnreachableError{Src: src, Dst: dst}
-			}
-			// Install only the first hop (suffix hops may conflict with
-			// preferred routes of other pairs).
-			if err := t.set(src, dst, ids[path[1]]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if err := Validate(t, arch); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return buildTable(arch, true)
 }
 
 // BuildShortestPath constructs a routing table ignoring the architecture's
 // preferred (schedule-derived) routes, using pure length-weighted shortest
 // paths — the routing ablation of the Section 4.5 design choice. Like
-// Build, it runs one CSR Dijkstra per source vertex.
+// Build, it computes one CSR shortest-path tree per source vertex.
 func BuildShortestPath(arch *topology.Architecture) (Table, error) {
+	return buildTable(arch, false)
+}
+
+func buildTable(arch *topology.Architecture, preferred bool) (Table, error) {
 	if arch == nil {
 		return nil, fmt.Errorf("routing: nil architecture")
 	}
 	if !arch.Connected() {
 		return nil, fmt.Errorf("routing: architecture %q is disconnected: %w", arch.Name, ErrNoRoute)
 	}
-	t := make(Table)
 	f := arch.Graph().Freeze()
-	w := lengthWeights(arch, f)
 	ids := f.IDs()
-	for si, src := range ids {
-		_, prev := f.ShortestPathTree(si, w)
-		for di, dst := range ids {
-			if src == dst {
-				continue
-			}
-			path, ok := graph.PathFromTree(prev, si, di)
-			if !ok {
-				return nil, &UnreachableError{Src: src, Dst: dst}
-			}
-			if err := t.set(src, dst, ids[path[1]]); err != nil {
-				return nil, err
-			}
+	n := len(ids)
+	next := make([]int32, n*n)
+	for i := range next {
+		next[i] = noHop
+	}
+	if preferred {
+		for _, pair := range arch.PreferredPairs() {
+			route, _ := arch.PreferredRoute(pair[0], pair[1])
+			installPreferred(f, next, route)
 		}
 	}
-	if err := Validate(t, arch); err != nil {
+
+	w := lengthWeights(arch, f)
+	var scratch graph.TreeScratch
+	first := make([]int32, n)
+	var stack []int32
+	for si := range ids {
+		row := next[si*n : (si+1)*n]
+		treeDone := false
+		for di := range ids {
+			if di == si || row[di] != noHop {
+				continue
+			}
+			if !treeDone {
+				_, prev := f.ShortestPathTreeInto(si, w, &scratch)
+				stack = firstHops(prev, si, first, stack)
+				treeDone = true
+			}
+			if first[di] < 0 {
+				return nil, &UnreachableError{Src: ids[si], Dst: ids[di]}
+			}
+			// Only the first hop: suffix hops may conflict with the
+			// preferred routes of other pairs.
+			e, _ := f.EdgeIndexBetween(si, int(first[di]))
+			row[di] = int32(e)
+		}
+	}
+
+	t := make(Table, n)
+	for si, src := range ids {
+		var row map[graph.NodeID]graph.NodeID
+		for di, e := range next[si*n : (si+1)*n] {
+			if e < 0 {
+				continue
+			}
+			if row == nil {
+				row = make(map[graph.NodeID]graph.NodeID, n-1)
+				t[src] = row
+			}
+			_, to := f.EdgeEndpoints(int(e))
+			row[ids[di]] = ids[to]
+		}
+	}
+	if err := newMatrixWalker(f, t, next).allPairs(func([]int32) {}); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// installPreferred writes all suffix hops of a preferred route into the
+// next-hop matrix: every intermediate node learns its next hop toward the
+// route's destination. The first hop that conflicts with an installed
+// entry stops the install; the hops before it stay, and the conflicting
+// pairs fall through to shortest-path completion.
+func installPreferred(f *graph.Frozen, next []int32, route []graph.NodeID) {
+	n := f.NodeCount()
+	d, ok := f.IndexOf(route[len(route)-1])
+	if !ok {
+		return
+	}
+	for i := 0; i+1 < len(route); i++ {
+		u, uok := f.IndexOf(route[i])
+		v, vok := f.IndexOf(route[i+1])
+		if !uok || !vok {
+			return
+		}
+		e, ok := f.EdgeIndexBetween(u, v)
+		if !ok {
+			return
+		}
+		cell := &next[u*n+d]
+		if *cell != noHop && *cell != int32(e) {
+			return
+		}
+		*cell = int32(e)
+	}
+}
+
+// firstHops fills first[v] with the first hop of the tree path root→v of
+// a ShortestPathTree prev array (-1 for the root and unreachable
+// vertices), memoizing along each climb so the whole array costs O(n).
+// stack is scratch, returned for reuse.
+func firstHops(prev []int32, root int, first, stack []int32) []int32 {
+	for v := range first {
+		first[v] = -1
+	}
+	for v := range prev {
+		if v == root || first[v] >= 0 || prev[v] < 0 {
+			continue
+		}
+		stack = stack[:0]
+		u := int32(v)
+		for first[u] < 0 && prev[u] != int32(root) {
+			stack = append(stack, u)
+			u = prev[u]
+		}
+		if first[u] < 0 {
+			first[u] = u
+		}
+		for _, x := range stack {
+			first[x] = first[u]
+		}
+	}
+	return stack
 }
 
 // XY builds dimension-ordered XY routing for a rows x cols mesh with
@@ -273,44 +310,19 @@ func XY(rows, cols int) (Table, error) {
 // Validate checks that the table is complete (every ordered pair has a
 // route), loop-free, and uses only architecture links.
 func Validate(t Table, arch *topology.Architecture) error {
-	nodes := arch.Nodes()
-	for _, src := range nodes {
-		for _, dst := range nodes {
-			if src == dst {
-				continue
-			}
-			path, err := t.Route(src, dst)
-			if err != nil {
-				return err
-			}
-			for i := 0; i+1 < len(path); i++ {
-				if !arch.HasLink(path[i], path[i+1]) {
-					return fmt.Errorf("routing: %d->%d uses missing link %d-%d",
-						src, dst, path[i], path[i+1])
-				}
-			}
-		}
-	}
-	return nil
+	return newTableWalker(t, arch.Graph().Freeze()).allPairs(func([]int32) {})
 }
 
 // AverageHops returns the mean route length in hops over all ordered node
 // pairs.
 func AverageHops(t Table, arch *topology.Architecture) (float64, error) {
-	nodes := arch.Nodes()
 	total, count := 0, 0
-	for _, src := range nodes {
-		for _, dst := range nodes {
-			if src == dst {
-				continue
-			}
-			path, err := t.Route(src, dst)
-			if err != nil {
-				return 0, err
-			}
-			total += len(path) - 1
-			count++
-		}
+	err := newTableWalker(t, arch.Graph().Freeze()).allPairs(func(edges []int32) {
+		total += len(edges)
+		count++
+	})
+	if err != nil {
+		return 0, err
 	}
 	if count == 0 {
 		return 0, nil
@@ -329,43 +341,41 @@ type Channel struct {
 // holds c1 while requesting c2. Deadlock is possible iff this graph has a
 // directed cycle (Dally & Seitz).
 //
-// Channels are encoded as graph vertices via a dense index; the returned
-// index maps channel -> vertex id.
+// Channels are encoded as graph vertices via a dense index, numbered in
+// order of first use along the routes; the returned index maps channel ->
+// vertex id. The dependencies are collected as a turn bitset in index
+// space and materialized as a graph only here, for callers that want to
+// inspect it; DeadlockFree and AssignVirtualChannels test the bitset
+// directly.
 func ChannelDependencyGraph(t Router, arch *topology.Architecture, pairs [][2]graph.NodeID) (*graph.Graph, map[Channel]graph.NodeID, error) {
-	if pairs == nil {
-		nodes := arch.Nodes()
-		for _, s := range nodes {
-			for _, d := range nodes {
-				if s != d {
-					pairs = append(pairs, [2]graph.NodeID{s, d})
-				}
+	frz := arch.Graph().Freeze()
+	ts := newTurnSet(frz)
+	vertex := make([]graph.NodeID, frz.EdgeCount()) // 0 = channel unused
+	var order []int32
+	err := forEachRoute(t, frz, pairs, func(edges []int32) {
+		for _, e := range edges {
+			if vertex[e] == 0 {
+				order = append(order, e)
+				vertex[e] = graph.NodeID(len(order))
 			}
 		}
+		ts.addRoute(edges)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	idx := make(map[Channel]graph.NodeID)
+	ids := frz.IDs()
 	cdg := graph.New("cdg")
-	chanID := func(c Channel) graph.NodeID {
-		if id, ok := idx[c]; ok {
-			return id
-		}
-		id := graph.NodeID(len(idx) + 1)
-		idx[c] = id
-		cdg.AddNode(id)
-		return id
+	idx := make(map[Channel]graph.NodeID, len(order))
+	for _, e := range order {
+		from, to := frz.EdgeEndpoints(int(e))
+		idx[Channel{From: ids[from], To: ids[to]}] = vertex[e]
+		cdg.AddNode(vertex[e])
 	}
-	for _, pr := range pairs {
-		path, err := t.Route(pr[0], pr[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := 0; i+2 < len(path); i++ {
-			c1 := Channel{From: path[i], To: path[i+1]}
-			c2 := Channel{From: path[i+1], To: path[i+2]}
-			cdg.SetEdge(graph.Edge{From: chanID(c1), To: chanID(c2)})
-		}
-		if len(path) == 2 {
-			chanID(Channel{From: path[0], To: path[1]})
-		}
+	for _, e := range order {
+		ts.forEachSucc(e, func(f int32) {
+			cdg.SetEdge(graph.Edge{From: vertex[e], To: vertex[f]})
+		})
 	}
 	return cdg, idx, nil
 }
@@ -373,11 +383,12 @@ func ChannelDependencyGraph(t Router, arch *topology.Architecture, pairs [][2]gr
 // DeadlockFree reports whether the routes over the given traffic pairs
 // (nil = all pairs) are deadlock-free on a single virtual channel.
 func DeadlockFree(t Router, arch *topology.Architecture, pairs [][2]graph.NodeID) (bool, error) {
-	cdg, _, err := ChannelDependencyGraph(t, arch, pairs)
-	if err != nil {
+	frz := arch.Graph().Freeze()
+	ts := newTurnSet(frz)
+	if err := forEachRoute(t, frz, pairs, ts.addRoute); err != nil {
 		return false, err
 	}
-	return !cdg.HasDirectedCycle(), nil
+	return ts.acyclic(), nil
 }
 
 // VCAssignment maps each (route position) to a virtual channel, via the
@@ -390,14 +401,30 @@ type VCAssignment struct {
 	// singleVC short-circuits escalation when the channel dependency
 	// graph is acyclic and a single channel is provably sufficient.
 	singleVC bool
-	// labels orders all directed channels; packets ascend labels within a
-	// VC and bump the VC on every descent.
-	labels map[Channel]int
+	// labels is the frozen architecture graph that orders all directed
+	// channels: the dateline label of a channel is its frozen edge id.
+	// Packets ascend labels within a VC and bump the VC on every descent.
+	labels *graph.Frozen
 	// fn, when set, replaces the dateline scheme entirely: the route
 	// source supplies the per-hop VC (and owns the deadlock-freedom
 	// argument for it). It must be deterministic and safe for concurrent
 	// calls, and must return values in [0, NumVCs).
 	fn func(route []graph.NodeID, hop int) int
+}
+
+// label returns the dateline label of channel u->v: its edge id in the
+// labelling graph, or 0 for a channel outside it.
+func (a VCAssignment) label(u, v graph.NodeID) int32 {
+	if a.labels == nil {
+		return 0
+	}
+	ui, uok := a.labels.IndexOf(u)
+	vi, vok := a.labels.IndexOf(v)
+	if !uok || !vok {
+		return 0
+	}
+	e, _ := a.labels.EdgeIndexBetween(ui, vi)
+	return int32(e)
 }
 
 // VCForHop returns the virtual channel a packet occupies on the i-th hop
@@ -411,9 +438,7 @@ func (a VCAssignment) VCForHop(route []graph.NodeID, hop int) int {
 	}
 	vc := 0
 	for i := 1; i <= hop; i++ {
-		prev := Channel{From: route[i-1], To: route[i]}
-		cur := Channel{From: route[i], To: route[i+1]}
-		if a.labels[cur] <= a.labels[prev] {
+		if a.label(route[i], route[i+1]) <= a.label(route[i-1], route[i]) {
 			vc++
 		}
 	}
@@ -429,74 +454,40 @@ func (a VCAssignment) VCForHop(route []graph.NodeID, hop int) int {
 // deadlock-free (Dally & Seitz dateline argument). NumVCs is 1 + the
 // maximum number of descents on any route.
 //
-// The dateline order is defined over every directed channel of the
-// architecture, not only the channels the given pairs traverse; the
-// lexicographic order of a superset preserves the relative order of any
-// subset, so restricting the pairs never changes the assignment of the
-// routes they cover — and routes compiled lazily later (pairs outside a
-// sparse demand set) still receive meaningful labels.
+// The dateline order is the lexicographic (from, to) order of every
+// directed channel of the architecture — which is exactly the frozen
+// edge-id order, so a channel's label is its edge id and a descent is
+// an edge id no greater than the previous one. The order covers every
+// channel, not only those the given pairs traverse, so restricting the
+// pairs never changes the assignment of the routes they cover — and
+// routes compiled lazily later (pairs outside a sparse demand set)
+// still receive meaningful labels. Every route must use architecture
+// links only.
 func AssignVirtualChannels(t Router, arch *topology.Architecture, pairs [][2]graph.NodeID) (VCAssignment, error) {
-	if pairs == nil {
-		nodes := arch.Nodes()
-		for _, s := range nodes {
-			for _, d := range nodes {
-				if s != d {
-					pairs = append(pairs, [2]graph.NodeID{s, d})
-				}
-			}
-		}
-	}
-	// Canonical total order: sort channels lexicographically.
-	chanSet := make(map[Channel]struct{})
-	for _, l := range arch.Links() {
-		chanSet[Channel{From: l.A, To: l.B}] = struct{}{}
-		chanSet[Channel{From: l.B, To: l.A}] = struct{}{}
-	}
-	routes := make([][]graph.NodeID, 0, len(pairs))
-	for _, pr := range pairs {
-		path, err := t.Route(pr[0], pr[1])
-		if err != nil {
-			return VCAssignment{}, err
-		}
-		routes = append(routes, path)
-		for i := 0; i+1 < len(path); i++ {
-			chanSet[Channel{From: path[i], To: path[i+1]}] = struct{}{}
-		}
-	}
-	chans := make([]Channel, 0, len(chanSet))
-	for c := range chanSet {
-		chans = append(chans, c)
-	}
-	sort.Slice(chans, func(i, j int) bool {
-		if chans[i].From != chans[j].From {
-			return chans[i].From < chans[j].From
-		}
-		return chans[i].To < chans[j].To
-	})
-	labels := make(map[Channel]int, len(chans))
-	for i, c := range chans {
-		labels[c] = i
-	}
-	a := VCAssignment{NumVCs: 1, labels: labels}
-	// If the channel dependency graph is already acyclic (as for XY on a
-	// mesh), a single channel is provably deadlock-free and no dateline
-	// escalation is needed.
-	if free, err := DeadlockFree(t, arch, pairs); err == nil && free {
-		a.singleVC = true
-		return a, nil
-	}
-	for _, path := range routes {
+	frz := arch.Graph().Freeze()
+	ts := newTurnSet(frz)
+	maxDescents := 0
+	err := forEachRoute(t, frz, pairs, func(edges []int32) {
 		descents := 0
-		for i := 2; i < len(path); i++ {
-			prev := Channel{From: path[i-2], To: path[i-1]}
-			cur := Channel{From: path[i-1], To: path[i]}
-			if labels[cur] <= labels[prev] {
+		for i := 1; i < len(edges); i++ {
+			ts.add(edges[i-1], edges[i])
+			if edges[i] <= edges[i-1] {
 				descents++
 			}
 		}
-		if descents+1 > a.NumVCs {
-			a.NumVCs = descents + 1
-		}
+		maxDescents = max(maxDescents, descents)
+	})
+	if err != nil {
+		return VCAssignment{}, err
 	}
+	a := VCAssignment{NumVCs: 1, labels: frz}
+	// If the channel dependency graph is already acyclic (as for XY on a
+	// mesh), a single channel is provably deadlock-free and no dateline
+	// escalation is needed.
+	if ts.acyclic() {
+		a.singleVC = true
+		return a, nil
+	}
+	a.NumVCs = maxDescents + 1
 	return a, nil
 }

@@ -29,13 +29,13 @@ raw=$(go test -run '^$' \
 # Simulator-kernel trajectory (PR 5 + the PR 7 SoA/batch engine + the
 # PR 9 sparse compile): idle-cycle cost at 16 and 1000 routers, the
 # allocation-free compiled-route injection path, a warm Reset rate
-# point, a pooled 1k-router batch sweep point, the 10k-router
-# demand-driven routing compile, and busy 1k/10k-router uniform windows
-# (landmark routes at 10k).
+# point, a pooled 1k-router batch sweep point, the 1k-router dense and
+# 10k-router demand-driven routing compiles, and busy 1k/10k-router
+# uniform windows (landmark routes at 10k).
 # These run at a fixed longer benchtime — the per-op cost of the short
 # ones is nanoseconds, so 5 iterations would measure noise.
 raw_kernel=$(go test -run '^$' \
-    -bench 'BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileSparseBA10k|BenchmarkStepBusy' \
+    -bench 'BenchmarkStepIdle|BenchmarkInjectRouted|BenchmarkSweepReset|BenchmarkSweepBA1k|BenchmarkCompileDenseBA1k|BenchmarkCompileSparseBA10k|BenchmarkStepBusy' \
     -benchmem -benchtime 1s -count "$count" .)
 
 # Service-path trajectory: the cold (cache-miss, real solve) and hot

@@ -5,6 +5,13 @@
 # at that scale run-to-run timer noise exceeds any real signal the gate
 # could act on (the trajectory still records them for eyeballing).
 #
+# Names are matched with Go's trailing "-N" GOMAXPROCS suffix stripped
+# (the entry's host block gives N; entries without one have it inferred
+# from a suffix every name shares), so entries recorded at different
+# GOMAXPROCS still pair up by benchmark. When both entries carry a host
+# block and the blocks differ, the timings are not comparable: the gate
+# prints that instead of a verdict.
+#
 # Usage: scripts/bench_check.sh [TRAJECTORY]
 #   BENCH_TOLERANCE_PCT  regression threshold (default 25)
 #   BENCH_MIN_NS         per-op floor below which entries are skipped
@@ -15,7 +22,7 @@ cd "$(dirname "$0")/.."
 trajectory="${1:-BENCH_trajectory.json}"
 
 python3 - "$trajectory" <<'EOF'
-import json, os, sys
+import json, os, re, sys
 
 tolerance = float(os.environ.get("BENCH_TOLERANCE_PCT", "25"))
 min_ns = float(os.environ.get("BENCH_MIN_NS", "1000"))
@@ -28,11 +35,31 @@ if len(entries) < 2:
 
 prev, cur = entries[-2], entries[-1]
 
+if prev.get("host") and cur.get("host") and prev["host"] != cur["host"]:
+    print(f"bench_check: not comparable: entry {cur.get('label')!r} host {cur['host']} "
+          f"vs {prev.get('label')!r} host {prev['host']}; no verdict")
+    sys.exit(0)
+
+SECTIONS = ("results", "kernel_results", "service_results")
+
+def procs_suffix(entry):
+    """The "-N" go test appends to every benchmark name when GOMAXPROCS > 1."""
+    host = entry.get("host")
+    if host:
+        n = int(host.get("gomaxprocs", 1))
+        return f"-{n}" if n > 1 else ""
+    names = [r["name"] for s in SECTIONS for r in entry.get(s, [])]
+    found = {m.group(0) if m else None for m in (re.search(r"-\d+$", n) for n in names)}
+    return found.pop() if len(found) == 1 and None not in found else ""
+
 def flatten(entry):
-    out = {}
-    for section in ("results", "kernel_results", "service_results"):
+    suffix, out = procs_suffix(entry), {}
+    for section in SECTIONS:
         for r in entry.get(section, []):
-            out[r["name"]] = float(r["ns_per_op"])
+            name = r["name"]
+            if suffix and name.endswith(suffix):
+                name = name[: -len(suffix)]
+            out[name] = float(r["ns_per_op"])
     return out
 
 base, now = flatten(prev), flatten(cur)
